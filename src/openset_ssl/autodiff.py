@@ -5,6 +5,17 @@ that routes the output gradient back to its inputs, so the recorded
 graph doubles as the tape. Calling backward() on a scalar tensor
 topologically sorts that graph and accumulates gradients into every
 reachable tensor with requires_grad set.
+
+Besides these generic ops, the model and the losses record fused nodes
+through make_node: the whole extractor MLP is one node, each head
+(matmul, bias, optional reshape, softmax) is one node, and each loss
+term is one node over the head outputs, so a training step builds a few
+dozen nodes instead of about a hundred. A fused node's forward and
+backward repeat the numpy arithmetic of the generic-op chain it stands
+for, op for op and in the same order, and each pass still adds into
+each weight once, in the same graph order. Gradients and trained
+parameters are therefore bit-identical to the generic-op graph's;
+tests/test_fused_graph.py keeps that graph as the reference.
 """
 
 from __future__ import annotations
@@ -70,7 +81,7 @@ class Tensor:
         if not self.requires_grad:
             return
         order = _topo_order(self)
-        _accumulate(self, np.ones_like(self.data))
+        accumulate(self, np.ones_like(self.data))
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -130,13 +141,18 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add g into t.grad; a no-op for tensors that need no gradient."""
     if not t.requires_grad:
         return
     t.grad = g if t.grad is None else t.grad + g
 
 
-def _node(data: np.ndarray, parents: Iterable[Tensor], backward) -> Tensor:
+def make_node(data: np.ndarray, parents: Iterable[Tensor], backward) -> Tensor:
+    """Record an op: backward(g) routes the output gradient g into the
+    parents with accumulate(). Outside no_grad(), and when a parent
+    needs a gradient, the output joins the graph; otherwise backward and
+    everything it holds are dropped."""
     out = Tensor(data)
     grad_parents = tuple(p for p in parents if p.requires_grad)
     if _grad_enabled and grad_parents:
@@ -156,37 +172,37 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul shapes {a.shape} and {b.shape} are incompatible")
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        accumulate(a, g @ b.data.T)
+        accumulate(b, a.data.T @ g)
 
-    return _node(a.data @ b.data, (a, b), backward)
+    return make_node(a.data @ b.data, (a, b), backward)
 
 
 def add(a: Tensor, b) -> Tensor:
     a = _as_tensor(a)
     if isinstance(b, (int, float)):
         def backward(g):
-            _accumulate(a, g)
+            accumulate(a, g)
 
-        return _node(a.data + float(b), (a,), backward)
+        return make_node(a.data + float(b), (a,), backward)
 
     b = _as_tensor(b)
     if a.shape == b.shape:
         def backward(g):
-            _accumulate(a, g)
-            _accumulate(b, g)
+            accumulate(a, g)
+            accumulate(b, g)
 
-        return _node(a.data + b.data, (a, b), backward)
+        return make_node(a.data + b.data, (a, b), backward)
 
     # The only broadcast supported: adding a bias row vector to a matrix.
     if a.data.ndim == 1 and b.data.ndim == 2:
         a, b = b, a
     if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
         def backward(g):
-            _accumulate(a, g)
-            _accumulate(b, g.sum(axis=0))
+            accumulate(a, g)
+            accumulate(b, g.sum(axis=0))
 
-        return _node(a.data + b.data, (a, b), backward)
+        return make_node(a.data + b.data, (a, b), backward)
     raise DimensionError(f"add shapes {a.shape} and {b.shape} are incompatible")
 
 
@@ -194,19 +210,19 @@ def subtract(a: Tensor, b) -> Tensor:
     a = _as_tensor(a)
     if isinstance(b, (int, float)):
         def backward(g):
-            _accumulate(a, g)
+            accumulate(a, g)
 
-        return _node(a.data - float(b), (a,), backward)
+        return make_node(a.data - float(b), (a,), backward)
 
     b = _as_tensor(b)
     if a.shape != b.shape:
         raise DimensionError(f"subtract shapes {a.shape} and {b.shape} differ")
 
     def backward(g):
-        _accumulate(a, g)
-        _accumulate(b, -g)
+        accumulate(a, g)
+        accumulate(b, -g)
 
-    return _node(a.data - b.data, (a, b), backward)
+    return make_node(a.data - b.data, (a, b), backward)
 
 
 def multiply(a: Tensor, b) -> Tensor:
@@ -215,37 +231,37 @@ def multiply(a: Tensor, b) -> Tensor:
         c = float(b)
 
         def backward(g):
-            _accumulate(a, g * c)
+            accumulate(a, g * c)
 
-        return _node(a.data * c, (a,), backward)
+        return make_node(a.data * c, (a,), backward)
 
     b = _as_tensor(b)
     if a.shape != b.shape:
         raise DimensionError(f"multiply shapes {a.shape} and {b.shape} differ")
 
     def backward(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+        accumulate(a, g * b.data)
+        accumulate(b, g * a.data)
 
-    return _node(a.data * b.data, (a, b), backward)
+    return make_node(a.data * b.data, (a, b), backward)
 
 
 def square(t: Tensor) -> Tensor:
     t = _as_tensor(t)
 
     def backward(g):
-        _accumulate(t, g * 2.0 * t.data)
+        accumulate(t, g * 2.0 * t.data)
 
-    return _node(t.data ** 2, (t,), backward)
+    return make_node(t.data ** 2, (t,), backward)
 
 
 def relu(t: Tensor) -> Tensor:
     t = _as_tensor(t)
 
     def backward(g):
-        _accumulate(t, g * (t.data > 0.0))
+        accumulate(t, g * (t.data > 0.0))
 
-    return _node(np.maximum(t.data, 0.0), (t,), backward)
+    return make_node(np.maximum(t.data, 0.0), (t,), backward)
 
 
 def log(t: Tensor) -> Tensor:
@@ -254,9 +270,9 @@ def log(t: Tensor) -> Tensor:
     clamped = np.maximum(t.data, LOG_EPS)
 
     def backward(g):
-        _accumulate(t, g * (t.data > LOG_EPS) / clamped)
+        accumulate(t, g * (t.data > LOG_EPS) / clamped)
 
-    return _node(np.log(clamped), (t,), backward)
+    return make_node(np.log(clamped), (t,), backward)
 
 
 def exp(t: Tensor) -> Tensor:
@@ -264,9 +280,9 @@ def exp(t: Tensor) -> Tensor:
     out_data = np.exp(t.data)
 
     def backward(g):
-        _accumulate(t, g * out_data)
+        accumulate(t, g * out_data)
 
-    return _node(out_data, (t,), backward)
+    return make_node(out_data, (t,), backward)
 
 
 def mean(t: Tensor) -> Tensor:
@@ -274,18 +290,18 @@ def mean(t: Tensor) -> Tensor:
     n = t.data.size
 
     def backward(g):
-        _accumulate(t, np.full(t.data.shape, float(g) / n))
+        accumulate(t, np.full(t.data.shape, float(g) / n))
 
-    return _node(t.data.mean(), (t,), backward)
+    return make_node(t.data.mean(), (t,), backward)
 
 
 def tensor_sum(t: Tensor) -> Tensor:
     t = _as_tensor(t)
 
     def backward(g):
-        _accumulate(t, np.full(t.data.shape, float(g)))
+        accumulate(t, np.full(t.data.shape, float(g)))
 
-    return _node(t.data.sum(), (t,), backward)
+    return make_node(t.data.sum(), (t,), backward)
 
 
 def sum_along_axis(t: Tensor, axis: int) -> Tensor:
@@ -294,25 +310,36 @@ def sum_along_axis(t: Tensor, axis: int) -> Tensor:
         raise DimensionError(f"axis {axis} out of range for shape {t.shape}")
 
     def backward(g):
-        _accumulate(t, np.broadcast_to(np.expand_dims(g, axis), t.data.shape).copy())
+        accumulate(t, np.broadcast_to(np.expand_dims(g, axis), t.data.shape).copy())
 
-    return _node(t.data.sum(axis=axis), (t,), backward)
+    return make_node(t.data.sum(axis=axis), (t,), backward)
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
     t = _as_tensor(t)
     if not -t.data.ndim <= axis < t.data.ndim:
         raise DimensionError(f"axis {axis} out of range for shape {t.shape}")
-    if t.data.shape[axis] < 2:
-        raise DimensionError(f"softmax needs at least 2 entries along axis {axis}, got shape {t.shape}")
-    shifted = t.data - t.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = softmax_data(t.data, axis)
 
     def backward(g):
-        _accumulate(t, s * (g - (g * s).sum(axis=axis, keepdims=True)))
+        accumulate(t, softmax_grad(s, g, axis))
 
-    return _node(s, (t,), backward)
+    return make_node(s, (t,), backward)
+
+
+def softmax_data(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Max-shifted softmax of a plain array: the softmax op's forward."""
+    if x.shape[axis] < 2:
+        raise DimensionError(f"softmax needs at least 2 entries along axis {axis}, got shape {x.shape}")
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax_grad(s: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The softmax op's backward: the gradient at the logits, given the
+    softmax output s and its gradient g."""
+    return s * (g - (g * s).sum(axis=axis, keepdims=True))
 
 
 def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
@@ -324,9 +351,9 @@ def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
         raise DimensionError(f"cannot reshape {t.shape} to {shape}") from e
 
     def backward(g):
-        _accumulate(t, g.reshape(t.data.shape))
+        accumulate(t, g.reshape(t.data.shape))
 
-    return _node(out_data, (t,), backward)
+    return make_node(out_data, (t,), backward)
 
 
 def pick(t: Tensor, index: np.ndarray) -> Tensor:
@@ -347,9 +374,30 @@ def pick(t: Tensor, index: np.ndarray) -> Tensor:
     def backward(g):
         buf = np.zeros_like(t.data)
         buf[rows, index] = g
-        _accumulate(t, buf)
+        accumulate(t, buf)
 
-    return _node(t.data[rows, index], (t,), backward)
+    return make_node(t.data[rows, index], (t,), backward)
+
+
+def neg_log_pick(probs: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """-log(pick(probs, index)) on plain arrays, for fused loss nodes.
+
+    Returns the per-row values and a function from their gradient to the
+    gradient at probs. Both repeat the arithmetic of the generic chain
+    multiply(log(pick(probs, index)), -1.0), LOG_EPS clamp included: a
+    picked probability at or below LOG_EPS gives -log(LOG_EPS) and a zero
+    gradient. index must already lie in range.
+    """
+    rows = np.arange(probs.shape[0])
+    picked = probs[rows, index]
+    clamped = np.maximum(picked, LOG_EPS)
+
+    def backward(g: np.ndarray) -> np.ndarray:
+        buf = np.zeros_like(probs)
+        buf[rows, index] = g * -1.0 * (picked > LOG_EPS) / clamped
+        return buf
+
+    return np.log(clamped) * -1.0, backward
 
 
 def grad_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1e-5) -> float:

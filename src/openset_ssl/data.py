@@ -288,6 +288,18 @@ def save_csv(ds: Dataset, path) -> None:
                 writer.writerow(row)
 
 
+def _first_nonfinite(path) -> str:
+    """Where the first nan or inf feature sits in a CSV that parsed."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            for name, value in zip(header[3:], row[3:]):
+                if not np.isfinite(float(value)):
+                    return f"{path}:{lineno}: feature {name} is {value!r}; features must be finite"
+    return f"{path}: non-finite feature"
+
+
 def load_csv(path) -> Dataset:
     rows: dict[str, list[tuple[int, int, list[float]]]] = {r: [] for r in ROLE_NAMES}
     with open(path, newline="") as fh:
@@ -323,14 +335,16 @@ def load_csv(path) -> Dataset:
             tag=np.array([e[1] for e in entries], dtype=np.int64),
         )
 
-    labeled = build("labeled")
+    labeled, unlabeled, test = build("labeled"), build("unlabeled"), build("test")
+    if not all(np.isfinite(split.x).all() for split in (labeled, unlabeled, test)):
+        raise ParseError(_first_nonfinite(path))
     if len(labeled) == 0:
         raise ParseError(f"{path}: no labeled rows")
     k_classes = int(labeled.y.max()) + 1
     ds = Dataset(
         labeled=labeled,
-        unlabeled=build("unlabeled"),
-        test=build("test"),
+        unlabeled=unlabeled,
+        test=test,
         k_classes=k_classes,
         d_in=d_in,
         source=f"csv:{path}",

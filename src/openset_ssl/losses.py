@@ -9,6 +9,10 @@ a confidence-thresholded pseudo-label loss on pseudo-inliers.
 Per-sample sums are normalized by the actual batch length. Components
 whose weight is zero are skipped entirely and reported as 0; a skipped
 consistency or pseudo-label term also draws no augmentation noise.
+
+Each term is one autodiff node over the head outputs. Its forward and
+backward repeat the arithmetic of the generic-op formula in its
+docstring, so values and gradients match that formula bit for bit.
 """
 
 from __future__ import annotations
@@ -44,6 +48,11 @@ def _ova(params: ModelParams, x) -> Tensor:
     return ova_probs(params, feature_extract(params, x))
 
 
+def _full(shape, g, scale: float) -> np.ndarray:
+    """The backward of tensor_sum(t) * scale at output gradient g."""
+    return np.full(shape, float(g * scale))
+
+
 def _check_labels(y: np.ndarray, k: int) -> np.ndarray:
     y = np.asarray(y)
     if y.size and (y.min() < 0 or y.max() >= k):
@@ -52,10 +61,16 @@ def _check_labels(y: np.ndarray, k: int) -> np.ndarray:
 
 
 def loss_cls(params: ModelParams, x: np.ndarray, y: np.ndarray) -> Tensor:
-    """Mean cross-entropy of the closed-set head against true labels."""
+    """Mean cross-entropy of the closed-set head against true labels:
+    mean(-log(pick(closed_probs, y)))."""
     y = _check_labels(y, params.k_classes)
     probs = _closed(params, x)
-    return ad.mean(-ad.log(ad.pick(probs, y)))
+    nll, nll_backward = ad.neg_log_pick(probs.data, y)
+
+    def backward(g):
+        ad.accumulate(probs, nll_backward(np.full(nll.shape, float(g) / nll.size)))
+
+    return ad.make_node(nll.mean(), (probs,), backward)
 
 
 def loss_ova(params: ModelParams, x: np.ndarray, y: np.ndarray) -> Tensor:
@@ -63,7 +78,8 @@ def loss_ova(params: ModelParams, x: np.ndarray, y: np.ndarray) -> Tensor:
 
     Per sample, only the sub-classifier with the smallest log outlier
     probability among the non-true classes receives gradient (ties go
-    to the lowest class index).
+    to the lowest class index). With flat = ova_probs reshaped to
+    [B, 2K]: mean(-log(pick(flat, 2y)) - log(pick(flat, 2 hardest + 1))).
     """
     k = params.k_classes
     if k < 2:
@@ -71,26 +87,43 @@ def loss_ova(params: ModelParams, x: np.ndarray, y: np.ndarray) -> Tensor:
     y = _check_labels(y, k)
     p = _ova(params, x)                     # [B, K, 2]
     b = p.shape[0]
-    flat = p.reshape((b, 2 * k))            # column 2j is inlier-for-j, 2j+1 outlier-for-j
+    flat = p.data.reshape((b, 2 * k))       # column 2j is inlier-for-j, 2j+1 outlier-for-j
     neg_logp = np.log(np.maximum(p.data[:, :, 1], ad.LOG_EPS))
     neg_logp[np.arange(b), y] = np.inf      # exclude the true class from the min
     hardest = neg_logp.argmin(axis=1)
-    pos = ad.log(ad.pick(flat, 2 * y))
-    neg = ad.log(ad.pick(flat, 2 * hardest + 1))
-    return ad.mean(-pos - neg)
+    pos, pos_backward = ad.neg_log_pick(flat, 2 * y)
+    neg, neg_backward = ad.neg_log_pick(flat, 2 * hardest + 1)
+
+    def backward(g):
+        g_row = np.full(b, float(g) / b)
+        ad.accumulate(p, (pos_backward(g_row) + neg_backward(g_row)).reshape(p.shape))
+
+    # a - b equals a + (-b) exactly, so the sum repeats the generic subtraction
+    return ad.make_node((pos + neg).mean(), (p,), backward)
 
 
 def loss_em(params: ModelParams, u: np.ndarray) -> Tensor:
-    """Mean over the batch of the summed binary entropies of all K heads."""
+    """Mean over the batch of the summed binary entropies of all K heads:
+    tensor_sum(p * log(p)) * (-1 / B) with p = ova_probs."""
     u = np.asarray(u, dtype=np.float64)
     if len(u) == 0:
         return Tensor(0.0)
     p = _ova(params, u)
-    return ad.tensor_sum(p * ad.log(p)) * (-1.0 / len(u))
+    clamped = np.maximum(p.data, ad.LOG_EPS)
+    log_p = np.log(clamped)
+    scale = -1.0 / len(u)
+
+    def backward(g):
+        g_p = _full(p.shape, g, scale)
+        # p feeds the product directly and through log(), which clamps at LOG_EPS
+        ad.accumulate(p, g_p * log_p + g_p * p.data * (p.data > ad.LOG_EPS) / clamped)
+
+    return ad.make_node((p.data * log_p).sum() * scale, (p,), backward)
 
 
 def consistency_from_views(params: ModelParams, v1: np.ndarray, v2: np.ndarray, head: str = "ova") -> Tensor:
-    """Mean over the batch of the squared probability gap between two views.
+    """Mean over the batch of the squared probability gap between two
+    views: tensor_sum(square(p1 - p2)) * (1 / B).
 
     Both views stay in the graph: no sharpening, no stopped gradients.
     head selects which probabilities are compared ("ova" or "closed").
@@ -102,8 +135,16 @@ def consistency_from_views(params: ModelParams, v1: np.ndarray, v2: np.ndarray, 
     if len(v1) == 0:
         return Tensor(0.0)
     fwd = _ova if head == "ova" else _closed
-    gap = fwd(params, v1) - fwd(params, v2)
-    return ad.tensor_sum(ad.square(gap)) * (1.0 / len(v1))
+    p1, p2 = fwd(params, v1), fwd(params, v2)
+    gap = p1.data - p2.data
+    scale = 1.0 / len(v1)
+
+    def backward(g):
+        g_gap = _full(gap.shape, g, scale) * 2.0 * gap
+        ad.accumulate(p1, g_gap)
+        ad.accumulate(p2, -g_gap)
+
+    return ad.make_node((gap ** 2).sum() * scale, (p1, p2), backward)
 
 
 def loss_socr(
@@ -127,7 +168,8 @@ def fixmatch_from_views(params: ModelParams, weak: np.ndarray, strong: np.ndarra
 
     Pseudo-labels come from the weak view with gradients detached; only
     samples whose weak confidence reaches tau contribute, and the sum is
-    divided by the full batch length rather than the mask count.
+    divided by the full batch length rather than the mask count:
+    tensor_sum(-log(pick(closed_probs(strong), pseudo)) * mask) * (1 / B).
     """
     if not 0.0 < tau <= 1.0:
         raise ConfigError(f"tau must lie in (0, 1], got {tau}")
@@ -142,10 +184,15 @@ def fixmatch_from_views(params: ModelParams, weak: np.ndarray, strong: np.ndarra
     if count == 0:
         return Tensor(0.0), 0
     pseudo = q.argmax(axis=1)
+    mask = confident.astype(np.float64)
     strong_probs = _closed(params, strong)
-    nll = -ad.log(ad.pick(strong_probs, pseudo))
-    masked = nll * Tensor(confident.astype(np.float64))
-    return ad.tensor_sum(masked) * (1.0 / len(weak)), count
+    nll, nll_backward = ad.neg_log_pick(strong_probs.data, pseudo)
+    scale = 1.0 / len(weak)
+
+    def backward(g):
+        ad.accumulate(strong_probs, nll_backward(_full(nll.shape, g, scale) * mask))
+
+    return ad.make_node((nll * mask).sum() * scale, (strong_probs,), backward), count
 
 
 def loss_fixmatch(

@@ -279,8 +279,7 @@ class TestTrainCmd:
         spec = write_spec(tmp_path, extra="tau = 1.5\n", out_dir=tmp_path / "run")
         assert main(["train", "--config", str(spec)]) == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nonfinite_csv_exits_3(self, tmp_path):
+    def test_nonfinite_csv_exits_2(self, tmp_path, capsys):
         csv_path = tmp_path / "bad.csv"
         csv_path.write_text(
             "role,label,tag,f0\n"
@@ -291,7 +290,15 @@ class TestTrainCmd:
         )
         spec = tmp_path / "exp.spec"
         spec.write_text(f"out_dir = {tmp_path / 'run'}\ndata_csv = bad.csv\n" + TRAIN_LINES)
+        assert main(["train", "--config", str(spec)]) == 2
+        assert "bad.csv:2:" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_training_exits_3(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, extra="lr = 1e300\n", out_dir=tmp_path / "run")
+        spec.write_text(spec.read_text().replace("lr = 0.03\n", ""))
         assert main(["train", "--config", str(spec)]) == 3
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestEvalCmd:
@@ -361,6 +368,40 @@ class TestEvalCmd:
         _, data = self.trained(tmp_path)
         assert main(["eval", "--checkpoint", str(tmp_path / "none.npz"), "--data", str(data),
                      "--out", str(tmp_path / "ev")]) == 2
+
+    def eval_broken(self, tmp_path, capsys, damage):
+        """eval on a copy of a trained checkpoint that damage(path) spoils:
+        exit 2 with a message naming the file."""
+        ckpt, data = self.trained(tmp_path)
+        bad = tmp_path / "bad.npz"
+        bad.write_bytes(ckpt.read_bytes())
+        damage(bad)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(bad), "--data", str(data), "--out", str(tmp_path / "ev")]) == 2
+        assert str(bad) in capsys.readouterr().err
+
+    def test_truncated_checkpoint_exits_2(self, tmp_path, capsys):
+        self.eval_broken(tmp_path, capsys, lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]))
+
+    def test_non_npz_checkpoint_exits_2(self, tmp_path, capsys):
+        self.eval_broken(tmp_path, capsys, lambda p: p.write_text("not a checkpoint\n"))
+
+    @staticmethod
+    def rewrite(path, edit):
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        edit(arrays)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+
+    def test_checkpoint_missing_array_exits_2(self, tmp_path, capsys):
+        self.eval_broken(tmp_path, capsys, lambda p: self.rewrite(p, lambda a: a.pop("ova_b")))
+
+    def test_checkpoint_wrong_shape_exits_2(self, tmp_path, capsys):
+        def shorten(arrays):
+            arrays["ova_b"] = arrays["ova_b"][:-1]
+
+        self.eval_broken(tmp_path, capsys, lambda p: self.rewrite(p, shorten))
 
 
 class TestAblateCmd:

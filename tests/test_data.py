@@ -247,6 +247,16 @@ class TestCsv:
         with pytest.raises(ParseError, match=":3:"):
             load_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_feature_names_line(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "role,label,tag,f0,f1\nlabeled,0,inlier,1.0,2.0\nlabeled,1,inlier,1.5,2.5\n"
+            f"test,0,inlier,3.0,{value}\n"
+        )
+        with pytest.raises(ParseError, match=f"bad.csv:4: feature f1 is '{value}'"):
+            load_csv(path)
+
     def test_unknown_tag_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("role,label,tag,f0\nlabeled,0,inlier,1.0\nunlabeled,-1,weird,2.0\n")
