@@ -19,29 +19,27 @@ from .errors import (
     ParseError,
 )
 from .evaluation import (
+    OUTLIER,
     EvalResult,
     MetricsRecord,
+    OpenSetPrediction,
     anomaly_scores,
     auroc,
-    auroc_seen,
     error_rate_inliers,
-    eval_unseen,
     evaluate_params,
     export_histogram,
+    predict_open,
     read_metrics,
     write_metrics,
 )
 from .losses import LossBreakdown, loss_all, loss_cls, loss_em, loss_fixmatch, loss_ova, loss_socr
 from .model import (
     ModelParams,
-    OUTLIER,
-    OpenSetPrediction,
     classify_closed,
     feature_extract,
     init_params,
     load_checkpoint,
     ova_probs,
-    predict_open,
     save_checkpoint,
 )
 from .trainer import TrainConfig, TrainHistory, select_pseudo_inliers, sgd_step, train

@@ -18,6 +18,7 @@ import argparse
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .data import AugmentConfig, Dataset, GenConfig, gen_synthetic, load_csv, save_csv
 from .errors import ConfigError, DimensionError, GenerationError, MetricError, NumericError, ParseError
@@ -27,8 +28,10 @@ from .trainer import TrainConfig, TrainHistory, train
 
 TOGGLE_KEYS = ("disable_socr", "disable_em", "disable_fixmatch", "socr_on_closed_head")
 AUGMENT_KEYS = tuple(f.name for f in fields(AugmentConfig))
-TRAIN_KEYS = ("b", "mu", "lam_em", "lam_oc", "lam_fm", "tau", "e_fix", "e_max", "i_max",
-              "lr", "momentum", "seed", "hidden", "eval_every") + AUGMENT_KEYS
+# TrainConfig's own settings; augment is spelled out by AUGMENT_KEYS and
+# socr_head is set only through the socr_on_closed_head toggle.
+TRAIN_SCALAR_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name not in ("augment", "socr_head"))
+TRAIN_KEYS = TRAIN_SCALAR_KEYS + AUGMENT_KEYS
 GEN_KEYS = tuple(f"gen_{f.name}" for f in fields(GenConfig)) + ("gen_seed",)
 
 
@@ -106,47 +109,37 @@ def _parse_bool(key: str, value: str) -> bool:
     raise ParseError(f"key {key}: expected true/false, got {value!r}")
 
 
-def _parse_hidden(value: str) -> tuple[int, ...]:
+def _parse_hidden(key: str, value: str) -> tuple[int, ...]:
     if not value:
         return ()
     try:
         return tuple(int(part.strip()) for part in value.split(","))
     except ValueError as e:
-        raise ParseError(f"key hidden: expected comma-separated integers, got {value!r}") from e
+        raise ParseError(f"key {key}: expected comma-separated integers, got {value!r}") from e
+
+
+_PARSERS = {int: _parse_int, float: _parse_float, tuple[int, ...]: _parse_hidden}
+
+
+def _parsed_fields(cls, kv: dict[str, str], prefix: str = "") -> dict:
+    """Field name -> value parsed by the field's annotated type, for each
+    field of the dataclass cls whose prefixed name is a key of kv."""
+    types = get_type_hints(cls)
+    return {f.name: _PARSERS[types[f.name]](prefix + f.name, kv[prefix + f.name])
+            for f in fields(cls) if prefix + f.name in kv}
 
 
 def _build_train_config(kv: dict[str, str]) -> TrainConfig:
     cfg = TrainConfig()
-    ints = {"b", "mu", "e_fix", "e_max", "i_max", "seed", "eval_every"}
-    floats = {"lam_em", "lam_oc", "lam_fm", "tau", "lr", "momentum"}
-    updates: dict = {}
-    aug_updates: dict = {}
-    for key, value in kv.items():
-        if key in ints:
-            updates[key] = _parse_int(key, value)
-        elif key in floats:
-            updates[key] = _parse_float(key, value)
-        elif key == "hidden":
-            updates[key] = _parse_hidden(value)
-        elif key in AUGMENT_KEYS:
-            aug_updates[key] = _parse_float(key, value)
-    if aug_updates:
-        updates["augment"] = replace(cfg.augment, **aug_updates)
+    updates = _parsed_fields(TrainConfig, kv)
+    augment = _parsed_fields(AugmentConfig, kv)
+    if augment:
+        updates["augment"] = replace(cfg.augment, **augment)
     return replace(cfg, **updates)
 
 
 def _build_gen_config(kv: dict[str, str]) -> GenConfig:
-    cfg = GenConfig()
-    updates: dict = {}
-    for f in fields(GenConfig):
-        key = f"gen_{f.name}"
-        if key not in kv:
-            continue
-        if f.type == "float":
-            updates[f.name] = _parse_float(key, kv[key])
-        else:
-            updates[f.name] = _parse_int(key, kv[key])
-    return replace(cfg, **updates)
+    return replace(GenConfig(), **_parsed_fields(GenConfig, kv, prefix="gen_"))
 
 
 def resolve_spec(path, seed_override: int | None = None, out_override: str | None = None) -> ExperimentSpec:
@@ -185,12 +178,7 @@ def resolve_spec(path, seed_override: int | None = None, out_override: str | Non
         data_csv=str((base / data_csv).resolve()) if data_csv else None,
         gen=gen_cfg,
         gen_seed=gen_seed,
-        disable_socr=_parse_bool("disable_socr", kv["disable_socr"]) if "disable_socr" in kv else False,
-        disable_em=_parse_bool("disable_em", kv["disable_em"]) if "disable_em" in kv else False,
-        disable_fixmatch=_parse_bool("disable_fixmatch", kv["disable_fixmatch"]) if "disable_fixmatch" in kv else False,
-        socr_on_closed_head=_parse_bool("socr_on_closed_head", kv["socr_on_closed_head"])
-        if "socr_on_closed_head" in kv
-        else False,
+        **{key: _parse_bool(key, kv[key]) for key in TOGGLE_KEYS if key in kv},
     )
     return spec
 
@@ -205,24 +193,28 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def snapshot_text(spec: ExperimentSpec) -> str:
-    """Every setting the run used, defaults spelled out."""
-    lines = [f"out_dir = {spec.out_dir}"]
+def snapshot_pairs(spec: ExperimentSpec) -> list[tuple[str, str]]:
+    """Every setting the run used, defaults spelled out, as ordered
+    (key, value) pairs."""
+    values = [("out_dir", spec.out_dir)]
     if spec.data_csv is not None:
-        lines.append(f"data_csv = {spec.data_csv}")
+        values.append(("data_csv", spec.data_csv))
     else:
-        for f in fields(GenConfig):
-            lines.append(f"gen_{f.name} = {_format_value(getattr(spec.gen, f.name))}")
-        lines.append(f"gen_seed = {spec.gen_seed}")
-    t = spec.train
-    for key in ("b", "mu", "lam_em", "lam_oc", "lam_fm", "tau", "e_fix", "e_max", "i_max",
-                "lr", "momentum", "seed", "hidden", "eval_every"):
-        lines.append(f"{key} = {_format_value(getattr(t, key))}")
-    for key in AUGMENT_KEYS:
-        lines.append(f"{key} = {_format_value(getattr(t.augment, key))}")
-    for key in TOGGLE_KEYS:
-        lines.append(f"{key} = {_format_value(getattr(spec, key))}")
-    return "\n".join(lines) + "\n"
+        values += [(f"gen_{f.name}", getattr(spec.gen, f.name)) for f in fields(GenConfig)]
+        values.append(("gen_seed", spec.gen_seed))
+    values += [(key, getattr(spec.train, key)) for key in TRAIN_SCALAR_KEYS]
+    values += [(key, getattr(spec.train.augment, key)) for key in AUGMENT_KEYS]
+    values += [(key, getattr(spec, key)) for key in TOGGLE_KEYS]
+    return [(key, _format_value(value)) for key, value in values]
+
+
+def snapshot_text(spec: ExperimentSpec) -> str:
+    """The snapshot as `key = value` lines; train --config reads it back."""
+    return _kv_text(snapshot_pairs(spec))
+
+
+def _kv_text(pairs: list[tuple[str, str]]) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in pairs)
 
 
 def load_spec_dataset(spec: ExperimentSpec) -> Dataset:
@@ -234,20 +226,11 @@ def load_spec_dataset(spec: ExperimentSpec) -> Dataset:
 def _train_and_save(spec: ExperimentSpec, dataset: Dataset, out_dir: Path) -> TrainHistory:
     out_dir.mkdir(parents=True, exist_ok=True)
     history = train(dataset, spec.effective_train_config())
-    snapshot = snapshot_text(replace(spec, out_dir=str(out_dir)))
-    (out_dir / "resolved.spec").write_text(snapshot)
-    save_checkpoint(out_dir / "checkpoint.npz", history.final_params, config=parse_kv_text_inline(snapshot))
+    pairs = snapshot_pairs(replace(spec, out_dir=str(out_dir)))
+    (out_dir / "resolved.spec").write_text(_kv_text(pairs))
+    save_checkpoint(out_dir / "checkpoint.npz", history.final_params, config=dict(pairs))
     write_metrics(out_dir / "metrics.txt", history.records)
     return history
-
-
-def parse_kv_text_inline(text: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for line in text.splitlines():
-        if line.strip() and "=" in line:
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
 
 
 def cmd_gen_data(args) -> int:
@@ -288,7 +271,10 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"class count mismatch: checkpoint expects k={params.k_classes}, data has {dataset.k_classes}"
         )
-    result = evaluate_params(params, dataset.test)
+    try:
+        result = evaluate_params(params, dataset.test)
+    except (MetricError, NumericError) as e:  # bad test rows are a data problem here
+        raise MetricError(f"{args.data}: test split: {e}") from e
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     parts = [f"err_inlier={repr(result.err_inlier)}"]

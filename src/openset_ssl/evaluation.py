@@ -1,9 +1,12 @@
-"""Scoring and metrics: anomaly scores, rank AUROC, error rates, reports.
+"""Open-set prediction, anomaly scores, metrics and their text I/O.
 
-The anomaly score of a sample is the predicted class's outlier
-probability, 1 - p(inlier | predicted class). AUROC is the
-Mann-Whitney rank statistic with half credit for ties, which equals
-the trapezoidal area under the ROC curve.
+predict_open is the package's one no-grad forward: pseudo-inlier
+selection, the anomaly scores and every evaluation metric read its
+result. A sample's verdict is its closed-set label unless the predicted
+class's inlier probability falls strictly below 0.5, and its anomaly
+score is the outlier probability 1 - p(inlier | predicted class).
+AUROC is the Mann-Whitney rank statistic with half credit for ties,
+which equals the trapezoidal area under the ROC curve.
 """
 
 from __future__ import annotations
@@ -14,13 +17,23 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Split, TAG_INLIER, TAG_SEEN_OUTLIER, TAG_UNSEEN_OUTLIER
-from .errors import ConfigError, MetricError
+from .errors import ConfigError, MetricError, NumericError
 from .model import ModelParams, classify_closed, feature_extract, ova_probs
 
 METRICS_KEY_ORDER = (
     "epoch", "l_cls", "l_ova", "l_em", "l_oc", "l_fm",
     "err_inlier", "auroc_seen", "auroc_unseen", "k_size",
 )
+
+# Verdict value for samples rejected as outliers; inliers carry their class index.
+OUTLIER = -1
+
+
+@dataclass
+class OpenSetPrediction:
+    closed_label: np.ndarray  # [B] int, argmax of the closed-set head
+    inlier_prob: np.ndarray   # [B] float, p of the predicted class's inlier logit
+    verdict: np.ndarray       # [B] int, class index or OUTLIER
 
 
 @dataclass
@@ -37,41 +50,30 @@ class MetricsRecord:
     k_size: int
 
 
-@dataclass
-class ScoredSample:
-    anomaly_score: float
-    is_outlier_truth: bool
-    closed_pred: int
-    closed_truth: int | None  # present only for ground-truth inliers
+def predict_open(params: ModelParams, x: np.ndarray) -> OpenSetPrediction:
+    """Closed-set label plus the outlier verdict, on the input as given.
 
-
-def anomaly_scores(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Outlier probability of the predicted class for each row of x."""
-    x = np.asarray(x, dtype=np.float64)
-    with ad.no_grad():
+    Raises NumericError naming the first row whose features or head
+    outputs are not finite, as happens when a huge input or diverged
+    weights overflow the extractor.
+    """
+    with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
         features = feature_extract(params, x)
         closed = classify_closed(params, features).data
         ova = ova_probs(params, features).data
-    pred = closed.argmax(axis=1)
-    return 1.0 - ova[np.arange(len(pred)), pred, 0]
+    finite = (np.isfinite(features.data).all(axis=1) & np.isfinite(closed).all(axis=1)
+              & np.isfinite(ova).all(axis=(1, 2)))
+    if not finite.all():
+        raise NumericError(f"non-finite scores at row {int(np.argmin(finite))}")
+    label = closed.argmax(axis=1)
+    inlier_prob = ova[np.arange(len(label)), label, 0]
+    verdict = np.where(inlier_prob < 0.5, OUTLIER, label)
+    return OpenSetPrediction(closed_label=label, inlier_prob=inlier_prob, verdict=verdict)
 
 
-def score_test_split(params: ModelParams, test: Split) -> list[ScoredSample]:
-    scores = anomaly_scores(params, test.x)
-    with ad.no_grad():
-        preds = classify_closed(params, feature_extract(params, test.x)).data.argmax(axis=1)
-    out = []
-    for i in range(len(test)):
-        inlier = test.tag[i] == TAG_INLIER
-        out.append(
-            ScoredSample(
-                anomaly_score=float(scores[i]),
-                is_outlier_truth=not inlier,
-                closed_pred=int(preds[i]),
-                closed_truth=int(test.y[i]) if inlier else None,
-            )
-        )
-    return out
+def anomaly_scores(prediction: OpenSetPrediction) -> np.ndarray:
+    """Outlier probability of the predicted class for each row."""
+    return 1.0 - prediction.inlier_prob
 
 
 def auroc(scores: np.ndarray, is_outlier: np.ndarray) -> float:
@@ -94,33 +96,13 @@ def auroc(scores: np.ndarray, is_outlier: np.ndarray) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def error_rate_inliers(params: ModelParams, test: Split) -> float:
+def error_rate_inliers(prediction: OpenSetPrediction, test: Split) -> float:
     """Closed-set misclassification rate over ground-truth inliers only;
     the outlier verdict plays no part here."""
     mask = test.tag == TAG_INLIER
     if not mask.any():
         raise MetricError("error_rate_inliers needs at least one ground-truth inlier")
-    with ad.no_grad():
-        preds = classify_closed(params, feature_extract(params, test.x[mask])).data.argmax(axis=1)
-    return float(np.mean(preds != test.y[mask]))
-
-
-def _auroc_against(params: ModelParams, test: Split, outlier_tag: int) -> float:
-    mask = (test.tag == TAG_INLIER) | (test.tag == outlier_tag)
-    if not (test.tag == TAG_INLIER).any() or not (test.tag == outlier_tag).any():
-        raise MetricError("AUROC needs both inliers and the requested outlier population")
-    scores = anomaly_scores(params, test.x[mask])
-    return auroc(scores, test.tag[mask] != TAG_INLIER)
-
-
-def auroc_seen(params: ModelParams, test: Split) -> float:
-    """AUROC of inliers against outliers whose clusters occur in training data."""
-    return _auroc_against(params, test, TAG_SEEN_OUTLIER)
-
-
-def eval_unseen(params: ModelParams, test: Split) -> float:
-    """AUROC of inliers against outliers never seen during training."""
-    return _auroc_against(params, test, TAG_UNSEEN_OUTLIER)
+    return float(np.mean(prediction.closed_label[mask] != test.y[mask]))
 
 
 @dataclass
@@ -133,17 +115,23 @@ class EvalResult:
 
 
 def evaluate_params(params: ModelParams, test: Split) -> EvalResult:
-    """One evaluation pass; AUROCs against absent populations come back None."""
-    err = error_rate_inliers(params, test)
-    seen = auroc_seen(params, test) if (test.tag == TAG_SEEN_OUTLIER).any() else None
-    unseen = eval_unseen(params, test) if (test.tag == TAG_UNSEEN_OUTLIER).any() else None
-    return EvalResult(
-        err_inlier=err,
-        auroc_seen=seen,
-        auroc_unseen=unseen,
-        scores=anomaly_scores(params, test.x),
-        is_outlier=test.tag != TAG_INLIER,
-    )
+    """Score the test split once. Each AUROC ranks the inliers against
+    one outlier population (seen, unseen) and is None when that
+    population is absent."""
+    prediction = predict_open(params, test.x)
+    scores = anomaly_scores(prediction)
+    err = error_rate_inliers(prediction, test)
+    is_outlier = test.tag != TAG_INLIER
+    aurocs = []
+    for tag in (TAG_SEEN_OUTLIER, TAG_UNSEEN_OUTLIER):
+        rows = test.tag == tag
+        if rows.any():
+            rows |= ~is_outlier
+            aurocs.append(auroc(scores[rows], is_outlier[rows]))
+        else:
+            aurocs.append(None)
+    return EvalResult(err_inlier=err, auroc_seen=aurocs[0], auroc_unseen=aurocs[1],
+                      scores=scores, is_outlier=is_outlier)
 
 
 def export_histogram(scores: np.ndarray, is_outlier: np.ndarray, bins: int, path) -> None:

@@ -1,10 +1,13 @@
-"""Shared feature extractor with a closed-set head and one-vs-all heads.
+"""Model parameters, their forward nodes, and checkpoints.
 
-The extractor is a plain MLP: ReLU between consecutive layers, no
-activation after the last one. Two linear heads sit on the features:
-a K-way classifier and a bank of K one-vs-all sub-classifiers, each
-with two logits (index 0 = inlier, index 1 = outlier). Sub-classifier
-j owns columns [2j, 2j+1] of the one-vs-all weight matrix.
+The model is a shared feature extractor with a closed-set head and
+one-vs-all heads. The extractor is a plain MLP: ReLU between
+consecutive layers, no activation after the last one. Two linear heads
+sit on the features: a K-way classifier and a bank of K one-vs-all
+sub-classifiers, each with two logits (index 0 = inlier, index 1 =
+outlier). Sub-classifier j owns columns [2j, 2j+1] of the one-vs-all
+weight matrix. The open-set decision built on these heads lives in
+evaluation.predict_open.
 """
 
 from __future__ import annotations
@@ -22,16 +25,6 @@ from .autodiff import Tensor
 from .errors import ConfigError, DimensionError, ParseError
 
 CHECKPOINT_FORMAT = "openset-ssl-checkpoint-1"
-
-# Verdict value for samples rejected as outliers; inliers carry their class index.
-OUTLIER = -1
-
-
-@dataclass
-class OpenSetPrediction:
-    closed_label: np.ndarray  # [B] int, argmax of the closed-set head
-    inlier_prob: np.ndarray   # [B] float, p of the predicted class's inlier logit
-    verdict: np.ndarray       # [B] int, class index or OUTLIER
 
 
 @dataclass
@@ -175,22 +168,6 @@ def classify_closed(params: ModelParams, features: Tensor) -> Tensor:
 def ova_probs(params: ModelParams, features: Tensor) -> Tensor:
     """One-vs-all probabilities, shape [B, K, 2]; [:, j, 0] is inlier-for-class-j."""
     return _head(features, params.ova_w, params.ova_b, pairs=params.k_classes)
-
-
-def predict_open(params: ModelParams, x: np.ndarray) -> OpenSetPrediction:
-    """Closed-set label plus the outlier verdict, on the input as given.
-
-    A sample is rejected as an outlier when the predicted class's
-    inlier probability falls strictly below 0.5.
-    """
-    with ad.no_grad():
-        features = feature_extract(params, x)
-        closed = classify_closed(params, features).data
-        ova = ova_probs(params, features).data
-    label = closed.argmax(axis=1)
-    inlier_prob = ova[np.arange(len(label)), label, 0]
-    verdict = np.where(inlier_prob < 0.5, OUTLIER, label)
-    return OpenSetPrediction(closed_label=label, inlier_prob=inlier_prob, verdict=verdict)
 
 
 def save_checkpoint(path, params: ModelParams, config: dict | None = None) -> None:

@@ -20,9 +20,9 @@ import numpy as np
 
 from .data import AugmentConfig, Dataset, sample_batches
 from .errors import ConfigError, NumericError
-from .evaluation import MetricsRecord, evaluate_params
+from .evaluation import OUTLIER, MetricsRecord, evaluate_params, predict_open
 from .losses import loss_all
-from .model import ModelParams, OUTLIER, init_params, predict_open
+from .model import ModelParams, init_params
 
 
 @dataclass

@@ -3,6 +3,7 @@ reproducibility, and exit codes."""
 
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from openset_ssl.cli import main, parse_kv_file, resolve_spec, snapshot_text
 from openset_ssl.data import load_csv
 from openset_ssl.errors import ConfigError, ParseError
 from openset_ssl.evaluation import read_metrics
-from openset_ssl.model import load_checkpoint
+from openset_ssl.model import init_params, load_checkpoint, save_checkpoint
 
 GEN_LINES = """\
 gen_k_classes = 2
@@ -244,6 +245,12 @@ class TestTrainCmd:
         for ta, tb in zip(pa.parameters(), pb.parameters()):
             np.testing.assert_array_equal(ta.data, tb.data)
 
+    def test_checkpoint_config_is_the_resolved_spec(self, tmp_path):
+        spec = write_spec(tmp_path, out_dir=tmp_path / "run")
+        main(["train", "--config", str(spec)])
+        _, config = load_checkpoint(tmp_path / "run" / "checkpoint.npz")
+        assert config == parse_kv_file(tmp_path / "run" / "resolved.spec")
+
     def test_seed_override_changes_the_run(self, tmp_path):
         spec = write_spec(tmp_path, out_dir=tmp_path / "a")
         main(["train", "--config", str(spec)])
@@ -299,6 +306,14 @@ class TestTrainCmd:
         spec.write_text(spec.read_text().replace("lr = 0.03\n", ""))
         assert main(["train", "--config", str(spec)]) == 3
         assert "non-finite" in capsys.readouterr().err
+
+    def test_diverging_last_step_exits_3(self, tmp_path, capsys):
+        # the one step's loss is finite, but the parameters it leaves make
+        # the pseudo-inlier selection's scores non-finite
+        train = TRAIN_LINES.replace("lr = 0.03", "lr = 1e300").replace("e_max = 2", "e_max = 1")
+        spec = write_spec(tmp_path, train=train.replace("i_max = 4", "i_max = 1"), out_dir=tmp_path / "run")
+        assert main(["train", "--config", str(spec)]) == 3
+        assert "non-finite scores" in capsys.readouterr().err
 
 
 class TestEvalCmd:
@@ -368,6 +383,32 @@ class TestEvalCmd:
         _, data = self.trained(tmp_path)
         assert main(["eval", "--checkpoint", str(tmp_path / "none.npz"), "--data", str(data),
                      "--out", str(tmp_path / "ev")]) == 2
+
+    def test_overflowing_test_row_exits_2(self, tmp_path, capsys):
+        # 1e308 is finite, so the CSV loads, but an extractor whose weights
+        # are all 1 sums three of them to inf
+        params = init_params(3, (4,), 2, np.random.default_rng(0))
+        params.extractor[0][0].data[...] = 1.0
+        ckpt = tmp_path / "ones.npz"
+        save_checkpoint(ckpt, params)
+        gen_cfg = tmp_path / "gen.cfg"
+        gen_cfg.write_text(GEN_LINES)
+        data = tmp_path / "data.csv"
+        main(["gen-data", "--config", str(gen_cfg), "--out", str(data)])
+        lines = data.read_text().splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.startswith("test,"))
+        fields = lines[row].rstrip("\r\n").split(",")
+        lines[row] = ",".join(fields[:3] + ["1e308"] * (len(fields) - 3)) + "\r\n"
+        bad = tmp_path / "huge.csv"
+        bad.write_text("".join(lines), newline="")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["eval", "--checkpoint", str(ckpt), "--data", str(bad), "--out", str(tmp_path / "ev")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(bad) in err and "non-finite" in err and "Warning" not in err
+        assert not (tmp_path / "ev" / "eval.txt").exists()
 
     def eval_broken(self, tmp_path, capsys, damage):
         """eval on a copy of a trained checkpoint that damage(path) spoils:

@@ -1,29 +1,32 @@
 """Evaluation: anomaly scoring, rank AUROC against a brute-force
-pairwise oracle, error rates, histograms, and the metrics text format."""
+pairwise oracle, error rates, the one-pass evaluation against
+per-population scoring, histograms, and the metrics text format."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openset_ssl.data import Split, TAG_INLIER, TAG_SEEN_OUTLIER, TAG_UNSEEN_OUTLIER
-from openset_ssl.errors import ConfigError, MetricError
+from openset_ssl import model
+from openset_ssl.autodiff import no_grad
+from openset_ssl.data import GenConfig, Split, TAG_INLIER, TAG_SEEN_OUTLIER, TAG_UNSEEN_OUTLIER, gen_synthetic
+from openset_ssl.errors import ConfigError, MetricError, NumericError
 from openset_ssl.evaluation import (
+    OUTLIER,
     MetricsRecord,
     anomaly_scores,
     auroc,
-    auroc_seen,
     error_rate_inliers,
-    eval_unseen,
     evaluate_params,
     export_histogram,
     format_metrics_line,
     parse_metrics_line,
+    predict_open,
     read_metrics,
-    score_test_split,
     write_metrics,
 )
-from openset_ssl.model import OUTLIER, init_params, predict_open
+from openset_ssl.model import init_params
+from openset_ssl.trainer import TrainConfig, train
 
 
 def zeroed(d_in, hidden, k):
@@ -51,14 +54,14 @@ def pairwise_auroc(scores, is_outlier):
 class TestAnomalyScores:
     def test_uniform_model_scores_half(self):
         params = zeroed(3, (4,), 2)
-        scores = anomaly_scores(params, np.random.default_rng(0).normal(size=(6, 3)))
+        scores = anomaly_scores(predict_open(params, np.random.default_rng(0).normal(size=(6, 3))))
         np.testing.assert_array_equal(scores, np.full(6, 0.5))
 
     def test_crafted_score(self):
         # class 0 wins the closed head; its sub-classifier puts 1/4 on inlier
         params = zeroed(2, (), 2)
         params.ova_b.data[1] = np.log(3.0)
-        scores = anomaly_scores(params, np.zeros((3, 2)))
+        scores = anomaly_scores(predict_open(params, np.zeros((3, 2))))
         np.testing.assert_allclose(scores, 0.75, rtol=0, atol=1e-12)
 
     def test_agrees_with_open_set_verdict(self):
@@ -66,14 +69,13 @@ class TestAnomalyScores:
         rng = np.random.default_rng(1)
         params = init_params(3, (8,), 4, rng)
         x = rng.normal(size=(50, 3))
-        scores = anomaly_scores(params, x)
-        verdict = predict_open(params, x).verdict
-        np.testing.assert_array_equal(scores > 0.5, verdict == OUTLIER)
+        prediction = predict_open(params, x)
+        np.testing.assert_array_equal(anomaly_scores(prediction) > 0.5, prediction.verdict == OUTLIER)
 
     def test_scores_are_probabilities(self):
         rng = np.random.default_rng(2)
         params = init_params(4, (8, 8), 3, rng)
-        scores = anomaly_scores(params, rng.normal(size=(40, 4)) * 5)
+        scores = anomaly_scores(predict_open(params, rng.normal(size=(40, 4)) * 5))
         assert np.all((scores >= 0.0) & (scores <= 1.0))
 
 
@@ -157,10 +159,13 @@ class TestErrorRate:
         params.closed_w.data[0] = [-1.0, 1.0]
         return params
 
+    def error_rate(self, params, test):
+        return error_rate_inliers(predict_open(params, test.x), test)
+
     def test_hand_counted(self):
         params = self.sign_classifier()
         test = self.split([[-1.0], [1.0], [2.0], [-2.0]], [0, 1, 0, 1], [0, 0, 0, 0])
-        assert error_rate_inliers(params, test) == 0.5
+        assert self.error_rate(params, test) == 0.5
 
     def test_outlier_rows_ignored(self):
         params = self.sign_classifier()
@@ -169,13 +174,13 @@ class TestErrorRate:
             [0, 1, 0, 1, -1, -1],
             [0, 0, 0, 0, TAG_SEEN_OUTLIER, TAG_UNSEEN_OUTLIER],
         )
-        assert error_rate_inliers(params, test) == 0.5
+        assert self.error_rate(params, test) == 0.5
 
     def test_no_inliers_rejected(self):
         params = self.sign_classifier()
         test = self.split([[1.0]], [-1], [TAG_SEEN_OUTLIER])
         with pytest.raises(MetricError):
-            error_rate_inliers(params, test)
+            self.error_rate(params, test)
 
 
 class TestSplitAurocs:
@@ -189,17 +194,16 @@ class TestSplitAurocs:
     def test_uniform_model_gives_chance(self):
         params = zeroed(2, (4,), 2)
         test = self.make_test_split([TAG_INLIER, TAG_INLIER, TAG_SEEN_OUTLIER, TAG_UNSEEN_OUTLIER])
-        assert auroc_seen(params, test) == 0.5
-        assert eval_unseen(params, test) == 0.5
+        result = evaluate_params(params, test)
+        assert result.auroc_seen == 0.5
+        assert result.auroc_unseen == 0.5
 
     def test_missing_population_rejected(self):
+        # without inliers neither the error rate nor an AUROC is defined
         params = zeroed(2, (4,), 2)
-        only_seen = self.make_test_split([TAG_INLIER, TAG_SEEN_OUTLIER])
+        no_inliers = self.make_test_split([TAG_SEEN_OUTLIER, TAG_UNSEEN_OUTLIER])
         with pytest.raises(MetricError):
-            eval_unseen(params, only_seen)
-        only_unseen = self.make_test_split([TAG_INLIER, TAG_UNSEEN_OUTLIER])
-        with pytest.raises(MetricError):
-            auroc_seen(params, only_unseen)
+            evaluate_params(params, no_inliers)
 
     def test_seen_metric_excludes_unseen_rows(self):
         # a crafted detector scores the unseen cluster perfectly but the seen
@@ -213,7 +217,7 @@ class TestSplitAurocs:
             with_unseen.y[with_unseen.tag != TAG_UNSEEN_OUTLIER],
             with_unseen.tag[with_unseen.tag != TAG_UNSEEN_OUTLIER],
         )
-        assert auroc_seen(params, with_unseen) == auroc_seen(params, without)
+        assert evaluate_params(params, with_unseen).auroc_seen == evaluate_params(params, without).auroc_seen
 
     def test_evaluate_params_handles_absent_populations(self):
         params = zeroed(2, (4,), 2)
@@ -225,14 +229,56 @@ class TestSplitAurocs:
         assert len(result.scores) == 3
         np.testing.assert_array_equal(result.is_outlier, [False, False, True])
 
-    def test_score_test_split_fields(self):
-        params = zeroed(2, (4,), 2)
-        test = self.make_test_split([TAG_INLIER, TAG_SEEN_OUTLIER])
-        scored = score_test_split(params, test)
-        assert [s.is_outlier_truth for s in scored] == [False, True]
-        assert scored[0].closed_truth == 0 and scored[1].closed_truth is None
-        expected = anomaly_scores(params, test.x)
-        assert [s.anomaly_score for s in scored] == list(expected)
+    def test_evaluate_params_fields(self):
+        params = init_params(2, (4,), 2, np.random.default_rng(5))
+        test = self.make_test_split([TAG_INLIER, TAG_SEEN_OUTLIER, TAG_INLIER])
+        result = evaluate_params(params, test)
+        np.testing.assert_array_equal(result.is_outlier, [False, True, False])
+        np.testing.assert_array_equal(result.scores, anomaly_scores(predict_open(params, test.x)))
+
+    def test_nonfinite_scores_rejected_with_row(self):
+        # a huge but finite row overflows an all-ones extractor; no
+        # RuntimeWarning escapes (the suite turns them into errors)
+        params = init_params(2, (4,), 2, np.random.default_rng(5))
+        params.extractor[0][0].data[...] = 1.0
+        test = self.make_test_split([TAG_INLIER, TAG_SEEN_OUTLIER, TAG_UNSEEN_OUTLIER])
+        test.x[1] = 1e308
+        with pytest.raises(NumericError, match="row 1"):
+            evaluate_params(params, test)
+
+
+def subset_forward(params, x):
+    """The model's own forward pieces, outside evaluation: closed-set
+    labels and anomaly scores of the rows of x."""
+    with no_grad():
+        features = model.feature_extract(params, x)
+        closed = model.classify_closed(params, features).data
+        ova = model.ova_probs(params, features).data
+    label = closed.argmax(axis=1)
+    return label, 1.0 - ova[np.arange(len(label)), label, 0]
+
+
+@pytest.mark.parametrize("d_in,hidden", [(8, (64, 64)), (32, (256, 256))], ids=["default", "wide"])
+def test_one_pass_equals_per_population_scoring(d_in, hidden):
+    """evaluate_params scores the split once and slices it; the reference
+    forwards each population subset separately, as evaluation used to.
+    Both must agree bit for bit."""
+    ds = gen_synthetic(GenConfig(d_in=d_in), 0)
+    params = train(ds, TrainConfig(hidden=hidden, b=32, e_fix=1, e_max=2, i_max=10, eval_every=2)).final_params
+    test = ds.test
+    result = evaluate_params(params, test)
+
+    inlier = test.tag == TAG_INLIER
+    label, _ = subset_forward(params, test.x[inlier])
+    assert result.err_inlier == float(np.mean(label != test.y[inlier]))
+    for tag, got in ((TAG_SEEN_OUTLIER, result.auroc_seen), (TAG_UNSEEN_OUTLIER, result.auroc_unseen)):
+        rows = inlier | (test.tag == tag)
+        _, scores = subset_forward(params, test.x[rows])
+        np.testing.assert_array_equal(result.scores[rows], scores)
+        assert got == auroc(scores, test.tag[rows] != TAG_INLIER)
+    _, scores = subset_forward(params, test.x)
+    np.testing.assert_array_equal(result.scores, scores)
+    assert 0.0 < result.auroc_seen and 0.0 < result.auroc_unseen
 
 
 class TestHistogram:

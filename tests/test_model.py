@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 from openset_ssl import autodiff as ad
 from openset_ssl.autodiff import Tensor
 from openset_ssl.errors import DimensionError, ParseError
+from openset_ssl.evaluation import OUTLIER, predict_open
 from openset_ssl.model import (
-    OUTLIER,
     ModelParams,
     classify_closed,
     feature_extract,
     init_params,
     load_checkpoint,
     ova_probs,
-    predict_open,
     save_checkpoint,
 )
 
