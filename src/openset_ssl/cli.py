@@ -70,6 +70,8 @@ def parse_kv_file(path) -> dict[str, str]:
         text = Path(path).read_text()
     except OSError as e:
         raise ParseError(f"cannot read config {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e}") from e
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -352,7 +354,7 @@ def main(argv=None) -> int:
         return int(e.code) if e.code is not None else 0
     try:
         return args.func(args)
-    except (ConfigError, GenerationError, DimensionError, MetricError, FileNotFoundError) as e:
+    except (ConfigError, GenerationError, DimensionError, MetricError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

@@ -302,28 +302,31 @@ def _first_nonfinite(path) -> str:
 
 def load_csv(path) -> Dataset:
     rows: dict[str, list[tuple[int, int, list[float]]]] = {r: [] for r in ROLE_NAMES}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:3] != ["role", "label", "tag"]:
-            raise ParseError(f"{path}: missing or malformed header")
-        d_in = len(header) - 3
-        if d_in < 1 or header[3:] != [f"f{i}" for i in range(d_in)]:
-            raise ParseError(f"{path}: feature columns must be f0..f{{d-1}}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3 + d_in:
-                raise ParseError(f"{path}:{lineno}: expected {3 + d_in} fields, got {len(row)}")
-            role, label_s, tag_s = row[0], row[1], row[2]
-            if role not in rows:
-                raise ParseError(f"{path}:{lineno}: unknown role {role!r}")
-            if tag_s not in TAG_CODES:
-                raise ParseError(f"{path}:{lineno}: unknown tag {tag_s!r}")
-            try:
-                label = int(label_s)
-                feats = [float(v) for v in row[3:]]
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: {e}") from e
-            rows[role].append((label, TAG_CODES[tag_s], feats))
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or header[:3] != ["role", "label", "tag"]:
+                raise ParseError(f"{path}: missing or malformed header")
+            d_in = len(header) - 3
+            if d_in < 1 or header[3:] != [f"f{i}" for i in range(d_in)]:
+                raise ParseError(f"{path}: feature columns must be f0..f{{d-1}}")
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != 3 + d_in:
+                    raise ParseError(f"{path}:{lineno}: expected {3 + d_in} fields, got {len(row)}")
+                role, label_s, tag_s = row[0], row[1], row[2]
+                if role not in rows:
+                    raise ParseError(f"{path}:{lineno}: unknown role {role!r}")
+                if tag_s not in TAG_CODES:
+                    raise ParseError(f"{path}:{lineno}: unknown tag {tag_s!r}")
+                try:
+                    label = int(label_s)
+                    feats = [float(v) for v in row[3:]]
+                except ValueError as e:
+                    raise ParseError(f"{path}:{lineno}: {e}") from e
+                rows[role].append((label, TAG_CODES[tag_s], feats))
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e}") from e
 
     def build(role: str) -> Split:
         entries = rows[role]

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration and data problems
-(ConfigError, ParseError, GenerationError, DimensionError, MetricError)
-exit with 2, numeric failures during training (NumericError) with 3.
+(ConfigError, ParseError, GenerationError, DimensionError, MetricError,
+and an OSError on a file it reads or writes) exit with 2, numeric
+failures during training (NumericError) with 3.
 """
 
 

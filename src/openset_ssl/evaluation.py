@@ -11,7 +11,8 @@ which equals the trapezoidal area under the ROC curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -19,11 +20,6 @@ from . import autodiff as ad
 from .data import Split, TAG_INLIER, TAG_SEEN_OUTLIER, TAG_UNSEEN_OUTLIER
 from .errors import ConfigError, MetricError, NumericError
 from .model import ModelParams, classify_closed, feature_extract, ova_probs
-
-METRICS_KEY_ORDER = (
-    "epoch", "l_cls", "l_ova", "l_em", "l_oc", "l_fm",
-    "err_inlier", "auroc_seen", "auroc_unseen", "k_size",
-)
 
 # Verdict value for samples rejected as outliers; inliers carry their class index.
 OUTLIER = -1
@@ -48,6 +44,12 @@ class MetricsRecord:
     auroc_seen: float | None
     auroc_unseen: float | None
     k_size: int
+
+
+# metrics.txt keys in line order, and each key's type: int, float, or
+# float | None for an AUROC that is omitted when undefined.
+METRICS_KEY_ORDER = tuple(f.name for f in fields(MetricsRecord))
+_METRICS_TYPES = get_type_hints(MetricsRecord)
 
 
 def predict_open(params: ModelParams, x: np.ndarray) -> OpenSetPrediction:
@@ -162,7 +164,7 @@ def format_metrics_line(record: MetricsRecord) -> str:
         value = getattr(record, key)
         if value is None:
             continue
-        if key in ("epoch", "k_size"):
+        if _METRICS_TYPES[key] is int:
             parts.append(f"{key}={int(value)}")
         else:
             parts.append(f"{key}={repr(float(value))}")
@@ -170,27 +172,25 @@ def format_metrics_line(record: MetricsRecord) -> str:
 
 
 def parse_metrics_line(line: str) -> MetricsRecord:
-    fields: dict[str, str] = {}
+    tokens: dict[str, str] = {}
     for token in line.split():
         if "=" not in token:
             raise ConfigError(f"malformed metrics token {token!r}")
         key, value = token.split("=", 1)
-        fields[key] = value
-    try:
-        return MetricsRecord(
-            epoch=int(fields["epoch"]),
-            l_cls=float(fields["l_cls"]),
-            l_ova=float(fields["l_ova"]),
-            l_em=float(fields["l_em"]),
-            l_oc=float(fields["l_oc"]),
-            l_fm=float(fields["l_fm"]),
-            err_inlier=float(fields["err_inlier"]),
-            auroc_seen=float(fields["auroc_seen"]) if "auroc_seen" in fields else None,
-            auroc_unseen=float(fields["auroc_unseen"]) if "auroc_unseen" in fields else None,
-            k_size=int(fields["k_size"]),
-        )
-    except KeyError as e:
-        raise ConfigError(f"metrics line is missing key {e}") from e
+        tokens[key] = value
+    values: dict[str, int | float | None] = {}
+    for key in METRICS_KEY_ORDER:
+        kind = _METRICS_TYPES[key]
+        if key not in tokens:
+            if kind in (int, float):
+                raise ConfigError(f"metrics line is missing key {key!r}")
+            values[key] = None
+            continue
+        try:
+            values[key] = (int if kind is int else float)(tokens[key])
+        except ValueError as e:
+            raise ConfigError(f"metrics key {key}: expected a number, got {tokens[key]!r}") from e
+    return MetricsRecord(**values)
 
 
 def write_metrics(path, records: list[MetricsRecord]) -> None:

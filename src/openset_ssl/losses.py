@@ -10,9 +10,11 @@ Per-sample sums are normalized by the actual batch length. Components
 whose weight is zero are skipped entirely and reported as 0; a skipped
 consistency or pseudo-label term also draws no augmentation noise.
 
-Each term is one autodiff node over the head outputs. Its forward and
-backward repeat the arithmetic of the generic-op formula in its
-docstring, so values and gradients match that formula bit for bit.
+Each term is one autodiff node over the head outputs, and loss_all
+joins the terms in one more node that forms their weighted sum. Each
+node's forward and backward repeat the arithmetic of the generic-op
+formula in its docstring, so values and gradients match that formula
+bit for bit.
 """
 
 from __future__ import annotations
@@ -222,28 +224,39 @@ def loss_all(
     epoch: int,
 ) -> tuple[Tensor, LossBreakdown]:
     """Full objective for one step: supervised terms plus weighted
-    unlabeled terms. The pseudo-label term only exists after the
-    self-training warmup (epoch > e_fix); before that the total is
-    independent of i_batch.
+    unlabeled terms, summed in one node as
+    ((cls + ova) + em * lam_em) + oc * lam_oc + fm * lam_fm, where a term
+    whose weight is zero is left out. The pseudo-label term only exists
+    after the self-training warmup (epoch > e_fix); before that the total
+    is independent of i_batch.
     """
     cls = loss_cls(params, x, y)
     ova = loss_ova(params, x, y)
-    sup = cls + ova
-    total = sup
+    weighted = [(cls, 1.0), (ova, 1.0)]
     em_v = oc_v = fm_v = 0.0
     mask_count = 0
     if config.lam_em > 0.0:
         em = loss_em(params, u)
-        total = total + em * config.lam_em
+        weighted.append((em, float(config.lam_em)))
         em_v = em.item()
     if config.lam_oc > 0.0:
         oc = loss_socr(params, u, config.augment, rng, head=config.socr_head)
-        total = total + oc * config.lam_oc
+        weighted.append((oc, float(config.lam_oc)))
         oc_v = oc.item()
     if epoch > config.e_fix and config.lam_fm > 0.0:
         fm, mask_count = loss_fixmatch(params, i_batch, config.augment, rng, config.tau)
-        total = total + fm * config.lam_fm
+        weighted.append((fm, float(config.lam_fm)))
         fm_v = fm.item()
+    sup = cls.data + ova.data
+    value = sup
+    for term, w in weighted[2:]:
+        value = value + term.data * w
+
+    def backward(g):
+        for term, w in weighted:
+            ad.accumulate(term, g * w)
+
+    total = ad.make_node(value, [term for term, _ in weighted], backward)
     breakdown = LossBreakdown(
         l_cls=cls.item(),
         l_ova=ova.item(),

@@ -317,7 +317,8 @@ class TestTrainCmd:
 
 
 class TestEvalCmd:
-    def trained(self, tmp_path):
+    @staticmethod
+    def trained(tmp_path):
         spec = write_spec(tmp_path, out_dir=tmp_path / "run")
         main(["train", "--config", str(spec)])
         gen_cfg = tmp_path / "gen.cfg"
@@ -443,6 +444,32 @@ class TestEvalCmd:
             arrays["ova_b"] = arrays["ova_b"][:-1]
 
         self.eval_broken(tmp_path, capsys, lambda p: self.rewrite(p, shorten))
+
+
+@pytest.mark.parametrize("case", ["data_is_directory", "data_not_utf8", "config_not_utf8", "out_is_file"])
+def test_bad_path_exits_2_naming_it(tmp_path, capsys, case):
+    """A path that cannot be read or written, or a file that is not UTF-8
+    text, ends in exit 2 with the path in the message, not a traceback."""
+    if case == "config_not_utf8":
+        bad = write_spec(tmp_path, out_dir=tmp_path / "run")
+        bad.write_bytes(b"# caf\xe9\n" + bad.read_bytes())
+        argv = ["train", "--config", bad]
+    else:
+        ckpt, data = TestEvalCmd.trained(tmp_path)
+        out = tmp_path / "ev"
+        if case == "data_is_directory":
+            data = bad = tmp_path / "data_dir"
+            bad.mkdir()
+        elif case == "data_not_utf8":
+            data = bad = tmp_path / "latin1.csv"
+            bad.write_bytes((tmp_path / "data.csv").read_bytes().replace(b"test,", b"t\xe9st,", 1))
+        else:
+            out = bad = tmp_path / "taken"
+            bad.write_text("")
+        argv = ["eval", "--checkpoint", ckpt, "--data", data, "--out", out]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 2
+    assert str(bad) in capsys.readouterr().err
 
 
 class TestAblateCmd:

@@ -378,3 +378,11 @@ class TestMetricsText:
     def test_missing_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_metrics_line("epoch=1 l_cls=0.5")
+
+    @pytest.mark.parametrize("key, bad", [("epoch", "x"), ("l_cls", "x"), ("auroc_seen", "x"), ("k_size", "1.5")])
+    def test_non_numeric_value_names_key(self, key, bad):
+        tokens = dict(token.split("=", 1) for token in format_metrics_line(self.record()).split())
+        tokens[key] = bad
+        line = " ".join(f"{k}={v}" for k, v in tokens.items())
+        with pytest.raises(ConfigError, match=f"metrics key {key}: .*{bad!r}"):
+            parse_metrics_line(line)

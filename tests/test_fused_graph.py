@@ -1,8 +1,9 @@
 """The fused autodiff nodes against the generic-op graph they replace.
 
-The extractor, each head and each loss term are single autodiff nodes
-whose backward repeats the generic ops' numpy arithmetic. This module
-keeps the generic-op objective as the reference and requires the fused
+The extractor, each head, each loss term and the objective's weighted
+sum are single autodiff nodes whose backward repeats the generic ops'
+numpy arithmetic. This module builds the objective from the generic ops
+of reference_ops as the reference and requires the fused
 objective to give the same loss and bit-identical gradients, including
 where the LOG_EPS clamp zeroes a gradient, and pins the parameters of a
 short training run.
@@ -13,6 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import reference_ops as ref
 from openset_ssl import autodiff as ad
 from openset_ssl.autodiff import Tensor
 from openset_ssl.data import AugmentConfig, GenConfig, augment_strong, augment_weak, gen_synthetic
@@ -35,44 +37,51 @@ def ref_features(params, x):
     h = x if isinstance(x, Tensor) else Tensor(x)
     last = len(params.extractor) - 1
     for i, (w, b) in enumerate(params.extractor):
-        h = ad.add(ad.matmul(h, w), b)
+        h = ref.add(ref.matmul(h, w), b)
         if i < last:
-            h = ad.relu(h)
+            h = ref.relu(h)
     return h
 
 
 def ref_closed(params, x):
-    return ad.softmax(ad.add(ad.matmul(ref_features(params, x), params.closed_w), params.closed_b), axis=1)
+    return ref.softmax(ref.add(ref.matmul(ref_features(params, x), params.closed_w), params.closed_b), axis=1)
 
 
 def ref_ova(params, x):
-    logits = ad.add(ad.matmul(ref_features(params, x), params.ova_w), params.ova_b)
-    return ad.softmax(ad.reshape(logits, (logits.shape[0], params.k_classes, 2)), axis=-1)
+    logits = ref.add(ref.matmul(ref_features(params, x), params.ova_w), params.ova_b)
+    return ref.softmax(ref.reshape(logits, (logits.shape[0], params.k_classes, 2)), axis=-1)
+
+
+def ref_neg_log(t):
+    return ref.multiply(ref.log(t), -1.0)
 
 
 def ref_loss_all(params, x, y, u, i_batch, config, rng, epoch):
     """loss_all as a chain of generic ops, drawing the same noise."""
     y = np.asarray(y, dtype=np.int64)
-    total = ad.mean(-ad.log(ad.pick(ref_closed(params, x), y)))
+    total = ref.mean(ref_neg_log(ref.pick(ref_closed(params, x), y)))
 
     k, b = params.k_classes, len(x)
     p = ref_ova(params, x)
-    flat = ad.reshape(p, (b, 2 * k))
+    flat = ref.reshape(p, (b, 2 * k))
     neg_logp = np.log(np.maximum(p.data[:, :, 1], ad.LOG_EPS))
     neg_logp[np.arange(b), y] = np.inf
     hardest = neg_logp.argmin(axis=1)
-    pos = ad.log(ad.pick(flat, 2 * y))
-    neg = ad.log(ad.pick(flat, 2 * hardest + 1))
-    total = total + ad.mean(-pos - neg)
+    pos = ref.log(ref.pick(flat, 2 * y))
+    neg = ref.log(ref.pick(flat, 2 * hardest + 1))
+    total = ref.add(total, ref.mean(ref.subtract(ref.multiply(pos, -1.0), neg)))
+
+    def weighted(term, scale, lam):
+        return ref.multiply(ref.multiply(term, scale), lam)
 
     if config.lam_em > 0.0:
         p = ref_ova(params, u)
-        total = total + ad.tensor_sum(p * ad.log(p)) * (-1.0 / len(u)) * config.lam_em
+        total = ref.add(total, weighted(ref.tensor_sum(ref.multiply(p, ref.log(p))), -1.0 / len(u), config.lam_em))
     if config.lam_oc > 0.0:
         fwd = ref_ova if config.socr_head == "ova" else ref_closed
         v1, v2 = augment_weak(u, config.augment, rng), augment_weak(u, config.augment, rng)
-        gap = fwd(params, v1) - fwd(params, v2)
-        total = total + ad.tensor_sum(ad.square(gap)) * (1.0 / len(u)) * config.lam_oc
+        gap = ref.subtract(fwd(params, v1), fwd(params, v2))
+        total = ref.add(total, weighted(ref.tensor_sum(ref.square(gap)), 1.0 / len(u), config.lam_oc))
     if epoch > config.e_fix and config.lam_fm > 0.0:
         weak = augment_weak(i_batch, config.augment, rng)
         strong = augment_strong(i_batch, config.augment, rng)
@@ -80,9 +89,9 @@ def ref_loss_all(params, x, y, u, i_batch, config, rng, epoch):
             q = ref_closed(params, weak).data
         confident = q.max(axis=1) >= config.tau
         if confident.any():
-            nll = -ad.log(ad.pick(ref_closed(params, strong), q.argmax(axis=1)))
-            masked = nll * Tensor(confident.astype(np.float64))
-            total = total + ad.tensor_sum(masked) * (1.0 / len(weak)) * config.lam_fm
+            nll = ref_neg_log(ref.pick(ref_closed(params, strong), q.argmax(axis=1)))
+            masked = ref.multiply(nll, Tensor(confident.astype(np.float64)))
+            total = ref.add(total, weighted(ref.tensor_sum(masked), 1.0 / len(weak), config.lam_fm))
     return total
 
 
@@ -156,7 +165,7 @@ def test_input_gradient_when_requested():
     grads_at_x = []
     for forward in (feature_extract, ref_features):
         xt = Tensor(x.copy(), requires_grad=True)
-        ad.tensor_sum(ad.square(forward(params, xt))).backward()
+        ref.tensor_sum(ref.square(forward(params, xt))).backward()
         grads_at_x.append(xt.grad)
     assert np.array_equal(grads_at_x[0], grads_at_x[1])
 
@@ -173,11 +182,12 @@ def test_nodes_per_step():
 
     params, x, y, u, i_batch = setup((64, 64))
     cfg = config(params, i_batch)
-    # 8 parameter leaves; per extractor pass: extractor, head and loss nodes; 6 combining ops
+    # 8 parameter leaves; an extractor and a head node per recorded pass (5 in
+    # warmup, 6 in self-training); one node per loss term; one weighted-sum node
     warmup, _ = loss_all(params, x, y, u, i_batch, cfg, np.random.default_rng(5), 1)
-    assert count(warmup) == 27
+    assert count(warmup) == 8 + 2 * 5 + 4 + 1 == 23
     selftrain, bd = loss_all(params, x, y, u, i_batch, cfg, np.random.default_rng(5), 2)
-    assert bd.fm_mask_count > 0 and count(selftrain) == 32
+    assert bd.fm_mask_count > 0 and count(selftrain) == 8 + 2 * 6 + 5 + 1 == 26
 
 
 def test_short_run_parameters_pinned():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import openset_ssl.trainer as trainer_mod
+import reference_ops as ref
 from openset_ssl import autodiff as ad
 from openset_ssl.data import AugmentConfig, GenConfig, gen_synthetic, sample_batches
 from openset_ssl.errors import ConfigError, NumericError
@@ -268,7 +269,7 @@ class TestSupervisedReduction:
         for _ in range(cfg.e_max):
             for _ in range(cfg.i_max):
                 xb, yb, ub, ib = sample_batches(view, cfg.b, cfg.mu, empty, rng)
-                total = loss_cls(params, xb, yb) + loss_ova(params, xb, yb)
+                total = ref.add(loss_cls(params, xb, yb), loss_ova(params, xb, yb))
                 for t in tensors:
                     t.zero_grad()
                 total.backward()
