@@ -144,6 +144,14 @@ def _build_gen_config(kv: dict[str, str]) -> GenConfig:
     return replace(GenConfig(), **_parsed_fields(GenConfig, kv, prefix="gen_"))
 
 
+def _gen_seed(kv: dict[str, str], override: int | None = None) -> int:
+    """The generator seed: override, else the gen_seed key, else 0."""
+    seed = override if override is not None else (_parse_int("gen_seed", kv["gen_seed"]) if "gen_seed" in kv else 0)
+    if seed < 0:
+        raise ConfigError(f"gen_seed must be >= 0, got {seed}")
+    return seed
+
+
 def resolve_spec(path, seed_override: int | None = None, out_override: str | None = None) -> ExperimentSpec:
     """Load an experiment file, fill in defaults, and validate."""
     kv = parse_kv_file(path)
@@ -169,7 +177,7 @@ def resolve_spec(path, seed_override: int | None = None, out_override: str | Non
     train_cfg.validate()
 
     gen_cfg = None
-    gen_seed = _parse_int("gen_seed", kv["gen_seed"]) if "gen_seed" in kv else 0
+    gen_seed = _gen_seed(kv)
     if gen_keys_present:
         gen_cfg = _build_gen_config(kv)
         gen_cfg.validate()
@@ -242,7 +250,7 @@ def cmd_gen_data(args) -> int:
         raise ConfigError(f"unknown generator keys: {', '.join(unknown)}")
     cfg = _build_gen_config(kv)
     cfg.validate()
-    seed = args.seed if args.seed is not None else (_parse_int("gen_seed", kv["gen_seed"]) if "gen_seed" in kv else 0)
+    seed = _gen_seed(kv, args.seed)
     ds = gen_synthetic(cfg, seed)
     save_csv(ds, args.out)
     print(f"wrote {args.out}: labeled={len(ds.labeled)} unlabeled={len(ds.unlabeled)} test={len(ds.test)}")
@@ -265,6 +273,8 @@ def _fmt_opt(value: float | None) -> str:
 
 
 def cmd_eval(args) -> int:
+    if args.bins < 1:
+        raise ConfigError(f"bins must be >= 1, got {args.bins}")
     params, _ = load_checkpoint(args.checkpoint)
     dataset = load_csv(args.data)
     if dataset.d_in != params.d_in:

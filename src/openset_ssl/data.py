@@ -5,11 +5,18 @@ and test rows carry a hidden ground-truth tag (inlier class, outlier seen
 during training, or outlier held out for test time) that exists only for
 evaluation. The trainer works through train_view(), which exposes labeled
 vectors with labels and unlabeled vectors without their tags.
+
+The CSV is written one f-string per row (the bytes csv.writer gives) and
+read with one np.loadtxt call; a file that call does not take goes through
+a csv.reader row walk, which decides and names path:line for a bad line.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import warnings
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -276,82 +283,110 @@ ROLE_NAMES = ("labeled", "unlabeled", "test")
 
 
 def save_csv(ds: Dataset, path) -> None:
-    """Write rows as role,label,tag,f0..f{d-1}; floats use repr so the
-    text round-trips to the identical float64 values."""
+    """Write rows as role,label,tag,f0..f{d-1} with CRLF line ends, the
+    bytes csv.writer gives (no field ever needs quoting); floats use repr
+    so the text round-trips to the identical float64 values."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["role", "label", "tag"] + [f"f{i}" for i in range(ds.d_in)])
+        fh.write(",".join(["role", "label", "tag"] + [f"f{i}" for i in range(ds.d_in)]) + "\r\n")
         for role, split in zip(ROLE_NAMES, (ds.labeled, ds.unlabeled, ds.test)):
-            for i in range(len(split)):
-                row = [role, str(int(split.y[i])), TAG_NAMES[int(split.tag[i])]]
-                row.extend(repr(float(v)) for v in split.x[i])
-                writer.writerow(row)
+            fh.writelines(
+                f"{role},{y},{TAG_NAMES[t]},{','.join(map(repr, row.tolist()))}\r\n"
+                for y, t, row in zip(split.y.tolist(), split.tag.tolist(), np.asarray(split.x, dtype=np.float64))
+            )
 
 
-def _first_nonfinite(path) -> str:
-    """Where the first nan or inf feature sits in a CSV that parsed."""
+def _header_width(header: list[str] | None, path) -> int:
+    if header is None or header[:3] != ["role", "label", "tag"]:
+        raise ParseError(f"{path}: missing or malformed header")
+    d_in = len(header) - 3
+    if d_in < 1 or header[3:] != [f"f{i}" for i in range(d_in)]:
+        raise ParseError(f"{path}: feature columns must be f0..f{{d-1}}")
+    return d_in
+
+
+def _bulk_splits(fh, d_in: int) -> list[Split] | None:
+    """Parse the rows after the header with one np.loadtxt call. None when
+    a line is not a plain row (wrong comma count, a quote or a 0x1c-0x1f
+    control, unknown role or tag, a label int() rejects), loadtxt declines
+    it or a feature is not finite: the row walk then decides."""
+    roles, labels, tags = array("q"), array("q"), array("q")
+    role_codes = {name: code for code, name in enumerate(ROLE_NAMES)}
+
+    def lines():
+        for line in fh:
+            # a quote starts csv quoting; loadtxt strips 0x1c-0x1f around a float, float() does not
+            if (line.count(",") != 2 + d_in or '"' in line
+                    or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line):
+                raise ValueError("not a plain row")
+            role, label, tag, _ = line.split(",", 3)
+            roles.append(role_codes[role])
+            tags.append(TAG_CODES[tag])
+            labels.append(int(label))
+            yield line
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt warns on an empty body
+            x = np.loadtxt(lines(), delimiter=",", usecols=range(3, 3 + d_in), dtype=np.float64,
+                           comments=None, ndmin=2)
+    except (ValueError, KeyError, OverflowError, UserWarning):  # UnicodeDecodeError is a ValueError
+        return None
+    if len(x) != len(roles) or not np.isfinite(x).all():
+        return None
+    role = np.frombuffer(roles, dtype=np.int64)
+    y, tag = np.frombuffer(labels, dtype=np.int64), np.frombuffer(tags, dtype=np.int64)
+    return [Split(x[role == code], y[role == code], tag[role == code]) for code in range(len(ROLE_NAMES))]
+
+
+def _walk_rows(path) -> tuple[int, list[Split]]:
+    """Walk the file with csv.reader row by row: raises the first bad
+    line's path:line message, then the first non-finite feature's."""
+    rows: dict[str, list[tuple[int, int, list[float]]]] = {r: [] for r in ROLE_NAMES}
+    nonfinite = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        d_in = _header_width(header, path)
         for lineno, row in enumerate(reader, start=2):
-            for name, value in zip(header[3:], row[3:]):
-                if not np.isfinite(float(value)):
-                    return f"{path}:{lineno}: feature {name} is {value!r}; features must be finite"
-    return f"{path}: non-finite feature"
+            if len(row) != 3 + d_in:
+                raise ParseError(f"{path}:{lineno}: expected {3 + d_in} fields, got {len(row)}")
+            role, label_s, tag_s = row[0], row[1], row[2]
+            if role not in rows:
+                raise ParseError(f"{path}:{lineno}: unknown role {role!r}")
+            if tag_s not in TAG_CODES:
+                raise ParseError(f"{path}:{lineno}: unknown tag {tag_s!r}")
+            try:
+                label = int(label_s)
+                feats = [float(v) for v in row[3:]]
+            except ValueError as e:
+                raise ParseError(f"{path}:{lineno}: {e}") from e
+            if nonfinite is None and not all(map(math.isfinite, feats)):
+                name, value = next((n, v) for n, v, f in zip(header[3:], row[3:], feats) if not math.isfinite(f))
+                nonfinite = f"{path}:{lineno}: feature {name} is {value!r}; features must be finite"
+            rows[role].append((label, TAG_CODES[tag_s], feats))
+
+    splits = [Split(np.array([e[2] for e in rows[r]], dtype=np.float64).reshape(-1, d_in),
+                    np.array([e[0] for e in rows[r]], dtype=np.int64),
+                    np.array([e[1] for e in rows[r]], dtype=np.int64)) for r in ROLE_NAMES]
+    if nonfinite is not None:
+        raise ParseError(nonfinite)
+    return d_in, splits
 
 
 def load_csv(path) -> Dataset:
-    rows: dict[str, list[tuple[int, int, list[float]]]] = {r: [] for r in ROLE_NAMES}
+    """Read a dataset CSV: the bulk parse, else the csv.reader row walk."""
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or header[:3] != ["role", "label", "tag"]:
-                raise ParseError(f"{path}: missing or malformed header")
-            d_in = len(header) - 3
-            if d_in < 1 or header[3:] != [f"f{i}" for i in range(d_in)]:
-                raise ParseError(f"{path}: feature columns must be f0..f{{d-1}}")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 3 + d_in:
-                    raise ParseError(f"{path}:{lineno}: expected {3 + d_in} fields, got {len(row)}")
-                role, label_s, tag_s = row[0], row[1], row[2]
-                if role not in rows:
-                    raise ParseError(f"{path}:{lineno}: unknown role {role!r}")
-                if tag_s not in TAG_CODES:
-                    raise ParseError(f"{path}:{lineno}: unknown tag {tag_s!r}")
-                try:
-                    label = int(label_s)
-                    feats = [float(v) for v in row[3:]]
-                except ValueError as e:
-                    raise ParseError(f"{path}:{lineno}: {e}") from e
-                rows[role].append((label, TAG_CODES[tag_s], feats))
+            d_in = _header_width(next(csv.reader(fh), None), path)
+            splits = _bulk_splits(fh, d_in)
+        if splits is None:
+            d_in, splits = _walk_rows(path)
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text: {e}") from e
-
-    def build(role: str) -> Split:
-        entries = rows[role]
-        if not entries:
-            return Split(np.empty((0, d_in)), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        return Split(
-            x=np.array([e[2] for e in entries], dtype=np.float64),
-            y=np.array([e[0] for e in entries], dtype=np.int64),
-            tag=np.array([e[1] for e in entries], dtype=np.int64),
-        )
-
-    labeled, unlabeled, test = build("labeled"), build("unlabeled"), build("test")
-    if not all(np.isfinite(split.x).all() for split in (labeled, unlabeled, test)):
-        raise ParseError(_first_nonfinite(path))
+    labeled = splits[0]
     if len(labeled) == 0:
         raise ParseError(f"{path}: no labeled rows")
-    k_classes = int(labeled.y.max()) + 1
-    ds = Dataset(
-        labeled=labeled,
-        unlabeled=unlabeled,
-        test=test,
-        k_classes=k_classes,
-        d_in=d_in,
-        source=f"csv:{path}",
-    )
+    ds = Dataset(*splits, k_classes=int(labeled.y.max()) + 1, d_in=d_in, source=f"csv:{path}")
     try:
         ds.validate()
     except ConfigError as e:

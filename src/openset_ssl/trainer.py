@@ -51,6 +51,8 @@ class TrainConfig:
             raise ConfigError(f"need 1 <= e_fix <= e_max, got e_fix={self.e_fix}, e_max={self.e_max}")
         if self.lr <= 0.0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.momentum < 0.0:
             raise ConfigError(f"momentum must be >= 0, got {self.momentum}")
         if min(self.lam_em, self.lam_oc, self.lam_fm) < 0.0:

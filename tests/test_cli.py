@@ -346,6 +346,14 @@ class TestEvalCmd:
         counts = sum(int(line.split(",")[2]) + int(line.split(",")[3]) for line in lines[1:])
         assert counts == len(load_csv(data).test)
 
+    def test_zero_bins_exits_2_before_any_output(self, tmp_path, capsys):
+        ckpt, data = self.trained(tmp_path)
+        out = tmp_path / "ev"
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out), "--bins", "0"]) == 2
+        assert "bins must be >= 1" in capsys.readouterr().err
+        assert not (out / "eval.txt").exists()
+
     def test_unseen_token_omitted_when_absent(self, tmp_path):
         spec = write_spec(
             tmp_path,
@@ -470,6 +478,25 @@ def test_bad_path_exits_2_naming_it(tmp_path, capsys, case):
     capsys.readouterr()
     assert main([str(a) for a in argv]) == 2
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case,key", [("gen_data_flag", "gen_seed"), ("train_flag", "seed"),
+                                      ("spec_seed", "seed"), ("spec_gen_seed", "gen_seed")])
+def test_negative_seed_exits_2_naming_key(tmp_path, capsys, case, key):
+    if case == "gen_data_flag":
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(GEN_LINES)
+        argv = ["gen-data", "--config", cfg, "--out", tmp_path / "d.csv", "--seed", "-1"]
+    elif case == "train_flag":
+        argv = ["train", "--config", write_spec(tmp_path, out_dir=tmp_path / "run"), "--seed", "-1"]
+    elif case == "spec_seed":
+        spec = write_spec(tmp_path, train=TRAIN_LINES.replace("seed = 7", "seed = -3"), out_dir=tmp_path / "run")
+        argv = ["train", "--config", spec]
+    else:
+        spec = write_spec(tmp_path, gen=GEN_LINES.replace("gen_seed = 1", "gen_seed = -2"), out_dir=tmp_path / "run")
+        argv = ["train", "--config", spec]
+    assert main([str(a) for a in argv]) == 2
+    assert f"error: {key} must be >= 0" in capsys.readouterr().err
 
 
 class TestAblateCmd:

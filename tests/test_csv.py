@@ -1,0 +1,180 @@
+"""Dataset CSV: the bulk writer and reader against the row-at-a-time
+csv.writer / csv.reader reference in reference_csv.py. The writer must
+give byte-identical files; for any text, the reader must give the same
+dataset bit for bit or raise the same error."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import reference_csv
+from openset_ssl import data
+from openset_ssl.data import (
+    Dataset,
+    GenConfig,
+    Split,
+    TAG_SEEN_OUTLIER,
+    TAG_UNSEEN_OUTLIER,
+    gen_synthetic,
+    load_csv,
+    save_csv,
+)
+
+TINY = GenConfig(k_classes=2, n_seen_outlier=1, n_unseen_outlier=1, d_in=2, train_per_class=4,
+                 labels_per_class=2, unlabeled_per_outlier=2, test_per_class=2, test_per_outlier=2,
+                 min_center_distance=1.0)
+
+
+def outcome(load, path):
+    """What load(path) gives, comparable bit for bit: the dataset's
+    arrays as bytes with their dtypes and shapes, or the error."""
+    try:
+        ds = load(path)
+    except Exception as e:
+        return type(e).__name__, str(e)
+    splits = (ds.labeled, ds.unlabeled, ds.test)
+    arrays = [(a.dtype.str, a.shape, a.tobytes()) for s in splits for a in (s.x, s.y, s.tag)]
+    return ds.k_classes, ds.d_in, ds.source, arrays
+
+
+def assert_same_outcome(path):
+    got = outcome(load_csv, path)
+    assert got == outcome(reference_csv.load_csv, path)
+    return got
+
+
+def write_both(ds, tmp_path):
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    save_csv(ds, new)
+    reference_csv.save_csv(ds, ref)
+    return new.read_bytes(), ref.read_bytes()
+
+
+class TestWriter:
+    def test_awkward_floats_byte_identical(self, tmp_path):
+        # nan and inf are written as csv.writer writes them, though load rejects them
+        x = np.array([[5e-324, -0.0], [1e300, -1e300], [np.nan, np.inf], [-np.inf, 0.1]])
+        ds = Dataset(
+            labeled=Split(x, np.array([0, 1, 0, 1]), np.zeros(4, dtype=np.int64)),
+            unlabeled=Split(x[:2], np.full(2, -1), np.full(2, TAG_SEEN_OUTLIER)),
+            test=Split(x[2:], np.full(2, -1), np.full(2, TAG_UNSEEN_OUTLIER)),
+            k_classes=2,
+            d_in=2,
+        )
+        new, ref = write_both(ds, tmp_path)
+        assert new == ref
+        assert b"nan,inf\r\n" in new and b"5e-324,-0.0\r\n" in new
+
+    @pytest.mark.parametrize("d_in", [1, 32])
+    def test_width_byte_identical(self, tmp_path, d_in):
+        ds = gen_synthetic(GenConfig(d_in=d_in, train_per_class=30, labels_per_class=3, unlabeled_per_outlier=10,
+                                     test_per_class=5, test_per_outlier=5, center_box=20.0), seed=3)
+        new, ref = write_both(ds, tmp_path)
+        assert new == ref
+        assert load_csv(tmp_path / "new.csv") == ds
+
+    def test_empty_splits_byte_identical(self, tmp_path):
+        ds = gen_synthetic(TINY, seed=0)
+        empty = Split(np.empty((0, 2)), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        ds.unlabeled, ds.test = empty, empty
+        new, ref = write_both(ds, tmp_path)
+        assert new == ref
+        assert assert_same_outcome(tmp_path / "new.csv")[0] == 2
+
+
+BASE = (
+    "role,label,tag,f0,f1\r\n"
+    "labeled,0,inlier,1.5,-2.25\r\n"
+    "labeled,1,inlier,0.1,3.0\r\n"
+    "unlabeled,-1,seen_outlier,4.0,5e-324\r\n"
+    "test,0,inlier,-0.0,1e300\r\n"
+    "test,-1,unseen_outlier,7.0,8.5\r\n"
+)
+
+# name, edited text, a text that loads to the same dataset
+LOADS_LIKE = [
+    ("lf_line_ends", BASE.replace("\r\n", "\n"), BASE),
+    ("quoted_field", BASE.replace(",1.5,", ',"1.5",'), BASE),
+    ("spaces_around_float", BASE.replace(",1.5,", ", 1.5 ,"), BASE),
+    # float() takes 1_0, loadtxt does not: the row walk accepts it
+    ("underscore_float", BASE.replace(",7.0,", ",7_0,"), BASE.replace(",7.0,", ",70.0,")),
+]
+
+# name, edited text, the message it is rejected with
+REJECTED = [
+    ("blank_line", BASE.replace("3.0\r\n", "3.0\r\n\r\n"), "bad.csv:4: expected 5 fields, got 0"),
+    ("hash_in_row", BASE.replace("-2.25", "-2.25#x"), "bad.csv:2: could not convert string to float: '-2.25#x'"),
+    ("trailing_comma", BASE.replace("8.5\r\n", "8.5,\r\n"), "bad.csv:6: expected 5 fields, got 6"),
+    ("extra_column", BASE.replace("3.0\r\n", "3.0,9.0\r\n"), "bad.csv:3: expected 5 fields, got 6"),
+    ("truncated_last_line", BASE[: BASE.rindex("unseen") + 3], "bad.csv:6: expected 5 fields, got 3"),
+    # loadtxt strips 0x1c-0x1f around a float as space, float() does not
+    ("separator_control", BASE.replace("-2.25", "-2.25\x1f"),
+     "bad.csv:2: could not convert string to float: '-2.25\\x1f'"),
+]
+
+
+@pytest.mark.parametrize("name,text,like", LOADS_LIKE, ids=[c[0] for c in LOADS_LIKE])
+def test_named_case_loads_as_reference(tmp_path, name, text, like):
+    path, plain = tmp_path / "edited.csv", tmp_path / "plain.csv"
+    path.write_text(text, newline="")
+    plain.write_text(like, newline="")
+    assert assert_same_outcome(path)[0] == 2
+    assert load_csv(path) == load_csv(plain)
+
+
+@pytest.mark.parametrize("name,text,message", REJECTED, ids=[c[0] for c in REJECTED])
+def test_named_case_rejected_as_reference(tmp_path, name, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, newline="")
+    kind, got = assert_same_outcome(path)
+    assert kind == "ParseError" and got.endswith(message)
+
+
+def test_plain_file_takes_the_bulk_path(tmp_path, monkeypatch):
+    def no_walk(path):
+        raise AssertionError("row walk used")
+
+    path = tmp_path / "data.csv"
+    ds = gen_synthetic(TINY, seed=1)
+    save_csv(ds, path)
+    monkeypatch.setattr(data, "_walk_rows", no_walk)
+    assert load_csv(path) == ds
+    path.write_text(path.read_text().replace(",inlier,", ',"inlier",', 1))
+    with pytest.raises(AssertionError, match="row walk used"):
+        load_csv(path)
+
+
+TOKENS = [b",", b'"', b"\r\n", b"\n", b"\r", b"#", b"_", b" ", b"\t", b".", b"-", b"+", b"e", b"0", b"7",
+          b"nan", b"inf", b"1_0", b"\x00", b"\xff", b"\xc3\xa9", b"\xe2\x80\xa8", b"\xc2\x85", b"\x0c", b"\x1c",
+          b"test", b"labeled", b"unlabeled", b"inlier", b"seen_outlier", b"unseen_outlier", b"-1",
+          b"99999999999999999999"]
+MUTATION = st.tuples(st.sampled_from(["insert", "delete", "truncate", "dup_line", "drop_line"]),
+                     st.integers(0, 999), st.integers(1, 8), st.sampled_from(TOKENS))
+
+
+def mutate(text: bytes, mutation) -> bytes:
+    kind, where, n, token = mutation
+    i = where * len(text) // 1000
+    if kind == "insert":
+        return text[:i] + token + text[i:]
+    if kind == "delete":
+        return text[:i] + text[i + n:]
+    if kind == "truncate":
+        return text[:i]
+    lines = text.splitlines(keepends=True)
+    j = min(where * len(lines) // 1000, len(lines) - 1)
+    if j < 0:
+        return text
+    return b"".join(lines[: j + 1] + lines[j:] if kind == "dup_line" else lines[:j] + lines[j + 1:])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(MUTATION, min_size=1, max_size=4))
+def test_mutated_text_same_outcome_as_reference(tmp_path, mutations):
+    text = BASE.encode()
+    for mutation in mutations:
+        text = mutate(text, mutation)
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(text)
+    assert_same_outcome(path)
