@@ -295,13 +295,26 @@ def save_csv(ds: Dataset, path) -> None:
             )
 
 
-def _header_width(header: list[str] | None, path) -> int:
+def _numbered_rows(fh, path, lineno: int):
+    """csv.reader rows of fh numbered one line per row from lineno. A csv.Error (an unclosed
+    quote that runs past the field size limit) becomes a ParseError at its row's line."""
+    try:
+        for row in csv.reader(fh):
+            yield lineno, row
+            lineno += 1
+    except csv.Error as e:
+        raise ParseError(f"{path}:{lineno}: {e}") from e
+
+
+def _read_header(fh, path) -> tuple[list[str], int]:
+    """The header row and the feature count d it declares."""
+    _, header = next(_numbered_rows(fh, path, 1), (1, None))
     if header is None or header[:3] != ["role", "label", "tag"]:
         raise ParseError(f"{path}: missing or malformed header")
     d_in = len(header) - 3
     if d_in < 1 or header[3:] != [f"f{i}" for i in range(d_in)]:
         raise ParseError(f"{path}: feature columns must be f0..f{{d-1}}")
-    return d_in
+    return header, d_in
 
 
 def _bulk_splits(fh, d_in: int) -> list[Split] | None:
@@ -344,10 +357,8 @@ def _walk_rows(path) -> tuple[int, list[Split]]:
     rows: dict[str, list[tuple[int, int, list[float]]]] = {r: [] for r in ROLE_NAMES}
     nonfinite = None
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        d_in = _header_width(header, path)
-        for lineno, row in enumerate(reader, start=2):
+        header, d_in = _read_header(fh, path)
+        for lineno, row in _numbered_rows(fh, path, 2):
             if len(row) != 3 + d_in:
                 raise ParseError(f"{path}:{lineno}: expected {3 + d_in} fields, got {len(row)}")
             role, label_s, tag_s = row[0], row[1], row[2]
@@ -360,6 +371,8 @@ def _walk_rows(path) -> tuple[int, list[Split]]:
                 feats = [float(v) for v in row[3:]]
             except ValueError as e:
                 raise ParseError(f"{path}:{lineno}: {e}") from e
+            if not -2**63 <= label < 2**63:
+                raise ParseError(f"{path}:{lineno}: label {label_s!r} is outside int64")
             if nonfinite is None and not all(map(math.isfinite, feats)):
                 name, value = next((n, v) for n, v, f in zip(header[3:], row[3:], feats) if not math.isfinite(f))
                 nonfinite = f"{path}:{lineno}: feature {name} is {value!r}; features must be finite"
@@ -377,7 +390,7 @@ def load_csv(path) -> Dataset:
     """Read a dataset CSV: the bulk parse, else the csv.reader row walk."""
     try:
         with open(path, newline="") as fh:
-            d_in = _header_width(next(csv.reader(fh), None), path)
+            _, d_in = _read_header(fh, path)
             splits = _bulk_splits(fh, d_in)
         if splits is None:
             d_in, splits = _walk_rows(path)

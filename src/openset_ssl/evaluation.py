@@ -2,11 +2,12 @@
 
 predict_open is the package's one no-grad forward: pseudo-inlier
 selection, the anomaly scores and every evaluation metric read its
-result. A sample's verdict is its closed-set label unless the predicted
-class's inlier probability falls strictly below 0.5, and its anomaly
-score is the outlier probability 1 - p(inlier | predicted class).
-AUROC is the Mann-Whitney rank statistic with half credit for ties,
-which equals the trapezoidal area under the ROC curve.
+result. It forwards SCORE_BLOCK_ROWS rows at a time, so its memory does
+not grow with the input. A sample's verdict is its closed-set label
+unless the predicted class's inlier probability falls strictly below
+0.5, and its anomaly score is the outlier probability 1 - p(inlier |
+predicted class). AUROC is the Mann-Whitney rank statistic with half
+credit for ties, which equals the trapezoidal area under the ROC curve.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .model import ModelParams, classify_closed, feature_extract, ova_probs
 
 # Verdict value for samples rejected as outliers; inliers carry their class index.
 OUTLIER = -1
+
+# Rows per predict_open forward; >= 2000 (the selection pool) so that training's calls are one block.
+SCORE_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -59,16 +63,20 @@ def predict_open(params: ModelParams, x: np.ndarray) -> OpenSetPrediction:
     outputs are not finite, as happens when a huge input or diverged
     weights overflow the extractor.
     """
-    with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
-        features = feature_extract(params, x)
-        closed = classify_closed(params, features).data
-        ova = ova_probs(params, features).data
-    finite = (np.isfinite(features.data).all(axis=1) & np.isfinite(closed).all(axis=1)
-              & np.isfinite(ova).all(axis=(1, 2)))
-    if not finite.all():
-        raise NumericError(f"non-finite scores at row {int(np.argmin(finite))}")
-    label = closed.argmax(axis=1)
-    inlier_prob = ova[np.arange(len(label)), label, 0]
+    labels, probs = [], []
+    for start in range(0, max(len(x), 1), SCORE_BLOCK_ROWS):  # an empty x still runs one forward
+        with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
+            features = feature_extract(params, x[start:start + SCORE_BLOCK_ROWS])
+            closed = classify_closed(params, features).data
+            ova = ova_probs(params, features).data
+        finite = (np.isfinite(features.data).all(axis=1) & np.isfinite(closed).all(axis=1)
+                  & np.isfinite(ova).all(axis=(1, 2)))
+        if not finite.all():
+            raise NumericError(f"non-finite scores at row {start + int(np.argmin(finite))}")
+        labels.append(closed.argmax(axis=1))
+        probs.append(ova[np.arange(len(labels[-1])), labels[-1], 0])
+    # a single block is returned as computed, without a copy
+    label, inlier_prob = (np.concatenate(p) if len(p) > 1 else p[0] for p in (labels, probs))
     verdict = np.where(inlier_prob < 0.5, OUTLIER, label)
     return OpenSetPrediction(closed_label=label, inlier_prob=inlier_prob, verdict=verdict)
 

@@ -44,26 +44,34 @@ def load_csv(path) -> Dataset:
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or header[:3] != ["role", "label", "tag"]:
-                raise ParseError(f"{path}: missing or malformed header")
-            d_in = len(header) - 3
-            if d_in < 1 or header[3:] != [f"f{i}" for i in range(d_in)]:
-                raise ParseError(f"{path}: feature columns must be f0..f{{d-1}}")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 3 + d_in:
-                    raise ParseError(f"{path}:{lineno}: expected {3 + d_in} fields, got {len(row)}")
-                role, label_s, tag_s = row[0], row[1], row[2]
-                if role not in rows:
-                    raise ParseError(f"{path}:{lineno}: unknown role {role!r}")
-                if tag_s not in TAG_CODES:
-                    raise ParseError(f"{path}:{lineno}: unknown tag {tag_s!r}")
-                try:
-                    label = int(label_s)
-                    feats = [float(v) for v in row[3:]]
-                except ValueError as e:
-                    raise ParseError(f"{path}:{lineno}: {e}") from e
-                rows[role].append((label, TAG_CODES[tag_s], feats))
+            lineno = 0  # rows read so far, one line each; a csv.Error is in the next row
+            try:
+                header = next(reader, None)
+                lineno = 1
+                if header is None or header[:3] != ["role", "label", "tag"]:
+                    raise ParseError(f"{path}: missing or malformed header")
+                d_in = len(header) - 3
+                if d_in < 1 or header[3:] != [f"f{i}" for i in range(d_in)]:
+                    raise ParseError(f"{path}: feature columns must be f0..f{{d-1}}")
+                for row in reader:
+                    lineno += 1
+                    if len(row) != 3 + d_in:
+                        raise ParseError(f"{path}:{lineno}: expected {3 + d_in} fields, got {len(row)}")
+                    role, label_s, tag_s = row[0], row[1], row[2]
+                    if role not in rows:
+                        raise ParseError(f"{path}:{lineno}: unknown role {role!r}")
+                    if tag_s not in TAG_CODES:
+                        raise ParseError(f"{path}:{lineno}: unknown tag {tag_s!r}")
+                    try:
+                        label = int(label_s)
+                        feats = [float(v) for v in row[3:]]
+                    except ValueError as e:
+                        raise ParseError(f"{path}:{lineno}: {e}") from e
+                    if not -2**63 <= label < 2**63:
+                        raise ParseError(f"{path}:{lineno}: label {label_s!r} is outside int64")
+                    rows[role].append((label, TAG_CODES[tag_s], feats))
+            except csv.Error as e:
+                raise ParseError(f"{path}:{lineno + 1}: {e}") from e
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text: {e}") from e
 

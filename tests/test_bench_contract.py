@@ -76,6 +76,19 @@ def test_evaluation_goes_through_the_evaluation_names(monkeypatch):
     assert all(calls[attr] for attr in FORWARD_PIECES), {a: len(c) for a, c in calls.items()}
 
 
+def test_two_block_evaluation_forwards_once_per_block(monkeypatch):
+    """A split of one block and a row scores in two forwards: no
+    redundant pass over the split on top of the blocks."""
+    rng = np.random.default_rng(0)
+    params = init_params(3, (8,), 2, rng)
+    n = evaluation.SCORE_BLOCK_ROWS + 1
+    tag = np.arange(n) % 3
+    test = data.Split(rng.normal(size=(n, 3)), np.where(tag == data.TAG_INLIER, 0, -1), tag)
+    calls = {attr: counting(monkeypatch, evaluation, attr) for attr in FORWARD_PIECES}
+    trainer.evaluate_params(params, test)
+    assert {attr: len(c) for attr, c in calls.items()} == {attr: 2 for attr in FORWARD_PIECES}
+
+
 def test_traced_cli_flow_reports_every_counter(tracer_module, tmp_path):
     """gen-data, train and eval under the installed tracer: no wrap point
     is absent and the counters the report needs are filled."""

@@ -419,6 +419,36 @@ class TestEvalCmd:
         assert str(bad) in err and "non-finite" in err and "Warning" not in err
         assert not (tmp_path / "ev" / "eval.txt").exists()
 
+    def eval_edited_csv(self, tmp_path, capsys, edit):
+        """eval on a copy of the data CSV whose first test line edit(line)
+        rewrites: exit 2 with the CSV's path and line in stderr, no output."""
+        ckpt, data = self.trained(tmp_path)
+        lines = data.read_text().splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.startswith("test,"))
+        lines[row] = edit(lines[row])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines), newline="")
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(bad), "--out", str(tmp_path / "ev")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:{row + 1}:" in err
+        assert not (tmp_path / "ev" / "eval.txt").exists()
+        return err
+
+    def test_unclosed_quote_exits_2(self, tmp_path, capsys):
+        # the quote runs past csv's 131072-character field limit
+        def edit(line):
+            return line.replace(",", ',"', 1) + line * 5000
+
+        assert "field limit" in self.eval_edited_csv(tmp_path, capsys, edit)
+
+    def test_label_outside_int64_exits_2(self, tmp_path, capsys):
+        def edit(line):
+            role, _, rest = line.split(",", 2)
+            return f"{role},99999999999999999999,{rest}"
+
+        assert "outside int64" in self.eval_edited_csv(tmp_path, capsys, edit)
+
     def eval_broken(self, tmp_path, capsys, damage):
         """eval on a copy of a trained checkpoint that damage(path) spoils:
         exit 2 with a message naming the file."""

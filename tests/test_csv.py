@@ -111,6 +111,13 @@ REJECTED = [
     # loadtxt strips 0x1c-0x1f around a float as space, float() does not
     ("separator_control", BASE.replace("-2.25", "-2.25\x1f"),
      "bad.csv:2: could not convert string to float: '-2.25\\x1f'"),
+    ("label_outside_int64", BASE.replace("labeled,1,", "labeled,99999999999999999999,"),
+     "bad.csv:3: label '99999999999999999999' is outside int64"),
+    # the quote swallows the rows after it until csv's 131072-character field limit
+    ("unclosed_quote", BASE.replace("test,-1,", 'test,"-1,') + "test,-1,unseen_outlier,7.0,8.5\r\n" * 5000,
+     "bad.csv:6: field larger than field limit (131072)"),
+    ("unclosed_quote_in_header", BASE.replace("role,", 'role,"') + "test,-1,unseen_outlier,7.0,8.5\r\n" * 5000,
+     "bad.csv:1: field larger than field limit (131072)"),
 ]
 
 

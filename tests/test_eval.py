@@ -1,6 +1,9 @@
 """Evaluation: anomaly scoring, rank AUROC against a brute-force
 pairwise oracle, error rates, the one-pass evaluation against
-per-population scoring, histograms, and the metrics text format."""
+per-population scoring, blocked scoring against one whole-array
+forward, histograms, and the metrics text format."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -9,10 +12,21 @@ from hypothesis import strategies as st
 
 from openset_ssl import model
 from openset_ssl.autodiff import no_grad
-from openset_ssl.data import GenConfig, Split, TAG_INLIER, TAG_SEEN_OUTLIER, TAG_UNSEEN_OUTLIER, gen_synthetic
+from openset_ssl.cli import main
+from openset_ssl.data import (
+    GenConfig,
+    Split,
+    TAG_INLIER,
+    TAG_SEEN_OUTLIER,
+    TAG_UNSEEN_OUTLIER,
+    gen_synthetic,
+    load_csv,
+    save_csv,
+)
 from openset_ssl.errors import ConfigError, MetricError, NumericError
 from openset_ssl.evaluation import (
     OUTLIER,
+    SCORE_BLOCK_ROWS,
     MetricsRecord,
     anomaly_scores,
     auroc,
@@ -25,7 +39,7 @@ from openset_ssl.evaluation import (
     read_metrics,
     write_metrics,
 )
-from openset_ssl.model import init_params
+from openset_ssl.model import init_params, save_checkpoint
 from openset_ssl.trainer import TrainConfig, train
 
 
@@ -247,15 +261,21 @@ class TestSplitAurocs:
             evaluate_params(params, test)
 
 
-def subset_forward(params, x):
-    """The model's own forward pieces, outside evaluation: closed-set
-    labels and anomaly scores of the rows of x."""
+def whole_forward(params, x):
+    """The model's own forward pieces, outside evaluation, in one pass
+    over x: closed-set labels and the predicted class's inlier probability."""
     with no_grad():
         features = model.feature_extract(params, x)
         closed = model.classify_closed(params, features).data
         ova = model.ova_probs(params, features).data
     label = closed.argmax(axis=1)
-    return label, 1.0 - ova[np.arange(len(label)), label, 0]
+    return label, ova[np.arange(len(label)), label, 0]
+
+
+def subset_forward(params, x):
+    """Closed-set labels and anomaly scores of the rows of x, from whole_forward."""
+    label, inlier_prob = whole_forward(params, x)
+    return label, 1.0 - inlier_prob
 
 
 @pytest.mark.parametrize("d_in,hidden", [(8, (64, 64)), (32, (256, 256))], ids=["default", "wide"])
@@ -279,6 +299,59 @@ def test_one_pass_equals_per_population_scoring(d_in, hidden):
     _, scores = subset_forward(params, test.x)
     np.testing.assert_array_equal(result.scores, scores)
     assert 0.0 < result.auroc_seen and 0.0 < result.auroc_unseen
+
+
+class TestBlockedScoring:
+    """predict_open forwards SCORE_BLOCK_ROWS rows at a time; the reference
+    is one forward over the whole array through the model's own pieces."""
+
+    @pytest.mark.parametrize("d_in,hidden", [(8, (64, 64)), (32, (256, 256))], ids=["default", "wide"])
+    def test_blocks_equal_one_whole_array_forward(self, d_in, hidden):
+        params = init_params(d_in, hidden, 4, np.random.default_rng(1))
+        x = 3.0 * np.random.default_rng(2).normal(size=(2 * SCORE_BLOCK_ROWS + 17, d_in))
+        prediction = predict_open(params, x)
+        label, inlier_prob = whole_forward(params, x)
+        assert np.array_equal(prediction.closed_label, label)
+        assert np.array_equal(prediction.inlier_prob, inlier_prob)
+        assert np.array_equal(prediction.verdict, np.where(inlier_prob < 0.5, OUTLIER, label))
+        assert 0 < np.sum(prediction.verdict == OUTLIER) < len(x)
+
+    def test_nonfinite_row_in_second_block_named_by_global_index(self):
+        params = init_params(2, (4,), 2, np.random.default_rng(5))
+        params.extractor[0][0].data[...] = 1.0
+        x = np.random.default_rng(6).normal(size=(2 * SCORE_BLOCK_ROWS, 2))
+        row = SCORE_BLOCK_ROWS + 5
+        x[row] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=f"row {row}$"):
+                predict_open(params, x)
+
+    def test_empty_input(self):
+        params = init_params(3, (4,), 2, np.random.default_rng(0))
+        prediction = predict_open(params, np.empty((0, 3)))
+        label, inlier_prob = whole_forward(params, np.empty((0, 3)))
+        for got, want in ((prediction.closed_label, label), (prediction.inlier_prob, inlier_prob),
+                          (prediction.verdict, label)):
+            assert got.shape == (0,) and got.dtype == want.dtype
+
+    def test_eval_cmd_over_several_blocks(self, tmp_path):
+        ds = gen_synthetic(GenConfig(test_per_class=1200, test_per_outlier=1200), 0)
+        assert len(ds.test) > 2 * SCORE_BLOCK_ROWS
+        save_csv(ds, tmp_path / "data.csv")
+        params = init_params(ds.d_in, (64, 64), ds.k_classes, np.random.default_rng(3))
+        save_checkpoint(tmp_path / "ckpt.npz", params)
+        assert main(["eval", "--checkpoint", str(tmp_path / "ckpt.npz"), "--data", str(tmp_path / "data.csv"),
+                     "--out", str(tmp_path / "ev")]) == 0
+        got = dict(token.split("=") for token in (tmp_path / "ev" / "eval.txt").read_text().split())
+
+        test = load_csv(tmp_path / "data.csv").test
+        label, scores = subset_forward(params, test.x)
+        inlier = test.tag == TAG_INLIER
+        assert float(got["err_inlier"]) == float(np.mean(label[inlier] != test.y[inlier]))
+        for key, tag in (("auroc_seen", TAG_SEEN_OUTLIER), ("auroc_unseen", TAG_UNSEEN_OUTLIER)):
+            rows = inlier | (test.tag == tag)
+            assert float(got[key]) == auroc(scores[rows], ~inlier[rows])
 
 
 class TestHistogram:
