@@ -8,13 +8,14 @@ are rejected. The resolved snapshot written next to the run artifacts
 spells out every value, defaults included, and can be fed back to
 `train --config` to reproduce the run.
 
-Exit codes: 0 on success, 2 for configuration or validation problems,
-3 for numeric failures during training.
+Exit codes: 0 on success, 2 for configuration or validation problems
+(a non-finite config number too), 3 for numeric failures in training.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -97,9 +98,12 @@ def _parse_int(key: str, value: str) -> int:
 
 def _parse_float(key: str, value: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError as e:
         raise ParseError(f"key {key}: expected a number, got {value!r}") from e
+    if not math.isfinite(number):
+        raise ParseError(f"key {key}: expected a finite number, got {value!r}")
+    return number
 
 
 def _parse_bool(key: str, value: str) -> bool:

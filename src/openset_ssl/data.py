@@ -5,10 +5,12 @@ and test rows carry a hidden ground-truth tag (inlier class, outlier seen
 during training, or outlier held out for test time) that exists only for
 evaluation. The trainer works through train_view(), which exposes labeled
 vectors with labels and unlabeled vectors without their tags.
+gen_synthetic draws all three splits from one table with a row per cluster.
 
 The CSV is written one f-string per row (the bytes csv.writer gives) and
 read with one np.loadtxt call; a file that call does not take goes through
-a csv.reader row walk, which decides and names path:line for a bad line.
+a csv.reader row walk, which decides and names path:line for a bad row,
+the physical line the row starts on (a quoted field may span lines).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -173,58 +174,34 @@ def _place_centers(cfg: GenConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def gen_synthetic(cfg: GenConfig, seed: int) -> Dataset:
-    """Draw isotropic Gaussian clusters and split them into the three roles."""
+    """Draw isotropic Gaussian clusters and split them into the three roles.
+
+    One table row per cluster, in draw order, gives its label, its tag and
+    how many of its points go to the labeled, unlabeled and test splits.
+    GenerationError when the center range overflows or a point is not finite.
+    """
     cfg.validate()
     rng = np.random.default_rng(seed)
-    centers = _place_centers(cfg, rng)
-
-    def draw(center: np.ndarray, n: int) -> np.ndarray:
-        return center + cfg.cluster_sigma * rng.standard_normal((n, cfg.d_in))
-
-    lab_x, lab_y = [], []
-    unl_x, unl_y, unl_tag = [], [], []
-    tst_x, tst_y, tst_tag = [], [], []
-
-    for j in range(cfg.k_classes):
-        points = draw(centers[j], cfg.train_per_class + cfg.test_per_class)
-        lab_x.append(points[: cfg.labels_per_class])
-        lab_y.append(np.full(cfg.labels_per_class, j))
-        n_unl = cfg.train_per_class - cfg.labels_per_class
-        unl_x.append(points[cfg.labels_per_class : cfg.train_per_class])
-        unl_y.append(np.full(n_unl, j))
-        unl_tag.append(np.full(n_unl, TAG_INLIER))
-        tst_x.append(points[cfg.train_per_class :])
-        tst_y.append(np.full(cfg.test_per_class, j))
-        tst_tag.append(np.full(cfg.test_per_class, TAG_INLIER))
-
-    for s in range(cfg.n_seen_outlier):
-        points = draw(centers[cfg.k_classes + s], cfg.unlabeled_per_outlier + cfg.test_per_outlier)
-        unl_x.append(points[: cfg.unlabeled_per_outlier])
-        unl_y.append(np.full(cfg.unlabeled_per_outlier, NO_LABEL))
-        unl_tag.append(np.full(cfg.unlabeled_per_outlier, TAG_SEEN_OUTLIER))
-        tst_x.append(points[cfg.unlabeled_per_outlier :])
-        tst_y.append(np.full(cfg.test_per_outlier, NO_LABEL))
-        tst_tag.append(np.full(cfg.test_per_outlier, TAG_SEEN_OUTLIER))
-
-    for u in range(cfg.n_unseen_outlier):
-        points = draw(centers[cfg.k_classes + cfg.n_seen_outlier + u], cfg.test_per_outlier)
-        tst_x.append(points)
-        tst_y.append(np.full(cfg.test_per_outlier, NO_LABEL))
-        tst_tag.append(np.full(cfg.test_per_outlier, TAG_UNSEEN_OUTLIER))
-
-    def cat(parts: list[np.ndarray], dtype) -> np.ndarray:
-        if not parts:
-            return np.empty((0, cfg.d_in)) if dtype is None else np.empty(0, dtype=dtype)
-        return np.concatenate(parts).astype(np.float64 if dtype is None else dtype)
-
-    ds = Dataset(
-        labeled=Split(cat(lab_x, None), cat(lab_y, np.int64), np.zeros(sum(map(len, lab_y)), dtype=np.int64)),
-        unlabeled=Split(cat(unl_x, None), cat(unl_y, np.int64), cat(unl_tag, np.int64)),
-        test=Split(cat(tst_x, None), cat(tst_y, np.int64), cat(tst_tag, np.int64)),
-        k_classes=cfg.k_classes,
-        d_in=cfg.d_in,
-        source=f"synthetic(seed={seed})",
+    n_lab, n_unl = cfg.labels_per_class, cfg.train_per_class - cfg.labels_per_class
+    clusters = (
+        [(j, TAG_INLIER, n_lab, n_unl, cfg.test_per_class) for j in range(cfg.k_classes)]
+        + [(NO_LABEL, TAG_SEEN_OUTLIER, 0, cfg.unlabeled_per_outlier, cfg.test_per_outlier)] * cfg.n_seen_outlier
+        + [(NO_LABEL, TAG_UNSEEN_OUTLIER, 0, 0, cfg.test_per_outlier)] * cfg.n_unseen_outlier
     )
+    blocks = []  # per cluster: one (x, y, tag) block per split
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            centers = _place_centers(cfg, rng)
+        except OverflowError as e:
+            raise GenerationError(f"center_box {cfg.center_box!r} is too large: {e}") from e
+        for center, (label, tag, *counts) in zip(centers, clusters):
+            points = center + cfg.cluster_sigma * rng.standard_normal((sum(counts), cfg.d_in))
+            if not np.isfinite(points).all():
+                raise GenerationError(f"cluster_sigma {cfg.cluster_sigma!r} drew a non-finite point")
+            blocks.append([(x, np.full(len(x), label), np.full(len(x), tag))
+                           for x in np.split(points, np.cumsum(counts)[:-1])])
+    ds = Dataset(*(Split(*map(np.concatenate, zip(*split))) for split in zip(*blocks)),
+                 k_classes=cfg.k_classes, d_in=cfg.d_in, source=f"synthetic(seed={seed})")
     ds.validate()
     return ds
 
@@ -295,13 +272,16 @@ def save_csv(ds: Dataset, path) -> None:
             )
 
 
-def _numbered_rows(fh, path, lineno: int):
-    """csv.reader rows of fh numbered one line per row from lineno. A csv.Error (an unclosed
-    quote that runs past the field size limit) becomes a ParseError at its row's line."""
+def _numbered_rows(fh, path, first: int):
+    """csv.reader rows of fh, each numbered by the line it starts on, fh's next line being
+    line `first`. A csv.Error (an unclosed quote that runs past the field size limit)
+    becomes a ParseError at the first line of the row it broke."""
+    reader = csv.reader(fh)
+    lineno = first
     try:
-        for row in csv.reader(fh):
+        for row in reader:
             yield lineno, row
-            lineno += 1
+            lineno = first + reader.line_num
     except csv.Error as e:
         raise ParseError(f"{path}:{lineno}: {e}") from e
 

@@ -8,6 +8,10 @@ sub-classifiers, each with two logits (index 0 = inlier, index 1 =
 outlier). Sub-classifier j owns columns [2j, 2j+1] of the one-vs-all
 weight matrix. The open-set decision built on these heads lives in
 evaluation.predict_open.
+
+_layout is the one table of the parameters' names and shapes, in
+parameters() order: init_params draws from it, and checkpoints name and
+check their arrays by it.
 """
 
 from __future__ import annotations
@@ -43,41 +47,30 @@ class ModelParams:
         return self.closed_w.shape[0]
 
     @property
-    def d_feat(self) -> int:
-        return self.closed_w.shape[0]
-
-    @property
     def hidden(self) -> tuple[int, ...]:
         return tuple(w.shape[1] for w, _ in self.extractor)
 
     def parameters(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for w, b in self.extractor:
-            out.extend((w, b))
-        out.extend((self.closed_w, self.closed_b, self.ova_w, self.ova_b))
-        return out
+        return [t for layer in self.extractor for t in layer] + [self.closed_w, self.closed_b, self.ova_w, self.ova_b]
 
     def copy(self) -> "ModelParams":
-        def dup(t: Tensor) -> Tensor:
-            return Tensor(t.data.copy(), requires_grad=True)
-
-        return ModelParams(
-            extractor=[(dup(w), dup(b)) for w, b in self.extractor],
-            closed_w=dup(self.closed_w),
-            closed_b=dup(self.closed_b),
-            ova_w=dup(self.ova_w),
-            ova_b=dup(self.ova_b),
-            k_classes=self.k_classes,
-        )
+        return _from_list([Tensor(t.data.copy(), requires_grad=True) for t in self.parameters()], self.k_classes)
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)), requires_grad=True)
+def _layout(d_in: int, hidden: Sequence[int], k_classes: int) -> dict[str, tuple[int, ...]]:
+    """Array name -> shape of every parameter, in parameters() order."""
+    widths = [d_in, *hidden]
+    shapes = {}
+    for i, h in enumerate(hidden):
+        shapes[f"ext{i}_w"], shapes[f"ext{i}_b"] = (widths[i], h), (h,)
+    k = k_classes
+    return shapes | {"closed_w": (widths[-1], k), "closed_b": (k,), "ova_w": (widths[-1], 2 * k), "ova_b": (2 * k,)}
 
 
-def _zero_bias(n: int) -> Tensor:
-    return Tensor(np.zeros(n), requires_grad=True)
+def _from_list(tensors: list[Tensor], k_classes: int) -> ModelParams:
+    """ModelParams from its tensors in parameters() order."""
+    *extractor, closed_w, closed_b, ova_w, ova_b = tensors
+    return ModelParams(list(zip(extractor[::2], extractor[1::2])), closed_w, closed_b, ova_w, ova_b, k_classes)
 
 
 def init_params(d_in: int, hidden: Sequence[int], k_classes: int, rng: np.random.Generator) -> ModelParams:
@@ -85,19 +78,12 @@ def init_params(d_in: int, hidden: Sequence[int], k_classes: int, rng: np.random
         raise ConfigError(f"need d_in >= 1 and k_classes >= 1, got {d_in}, {k_classes}")
     if any(h < 1 for h in hidden):
         raise ConfigError(f"hidden widths must be positive, got {tuple(hidden)}")
-    extractor = []
-    width = d_in
-    for h in hidden:
-        extractor.append((_glorot(rng, width, h), _zero_bias(h)))
-        width = h
-    return ModelParams(
-        extractor=extractor,
-        closed_w=_glorot(rng, width, k_classes),
-        closed_b=_zero_bias(k_classes),
-        ova_w=_glorot(rng, width, 2 * k_classes),
-        ova_b=_zero_bias(2 * k_classes),
-        k_classes=k_classes,
-    )
+    tensors = []
+    for shape in _layout(d_in, hidden, k_classes).values():  # Glorot-uniform weights, zero biases
+        limit = np.sqrt(6.0 / sum(shape))
+        tensors.append(Tensor(rng.uniform(-limit, limit, size=shape) if len(shape) == 2 else np.zeros(shape),
+                              requires_grad=True))
+    return _from_list(tensors, k_classes)
 
 
 def feature_extract(params: ModelParams, x) -> Tensor:
@@ -185,13 +171,7 @@ def save_checkpoint(path, params: ModelParams, config: dict | None = None) -> No
         "config": config if config is not None else {},
     }
     arrays = {"meta": np.array(json.dumps(meta, sort_keys=True))}
-    for i, (w, b) in enumerate(params.extractor):
-        arrays[f"ext{i}_w"] = w.data
-        arrays[f"ext{i}_b"] = b.data
-    arrays["closed_w"] = params.closed_w.data
-    arrays["closed_b"] = params.closed_b.data
-    arrays["ova_w"] = params.ova_w.data
-    arrays["ova_b"] = params.ova_b.data
+    arrays.update(zip(_layout(params.d_in, params.hidden, params.k_classes), (t.data for t in params.parameters())))
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
@@ -209,30 +189,18 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             raise ParseError(f"{path}: not a checkpoint produced by this package")
         with archive:
             meta = _checkpoint_meta(path, archive)
-            arrays = {}
-            for name, shape in _checkpoint_shapes(meta).items():
+            tensors = []
+            for name, shape in _layout(meta["d_in"], meta["hidden"], meta["k_classes"]).items():
                 if name not in archive.files:
                     raise ParseError(f"{path}: checkpoint has no array {name!r}")
                 arr = archive[name]
                 if arr.dtype != np.float64 or arr.shape != shape:
                     raise ParseError(f"{path}: array {name!r} is {arr.dtype} {arr.shape}, "
                                      f"but its meta implies float64 {shape}")
-                arrays[name] = arr
+                tensors.append(Tensor(arr.copy(), requires_grad=True))
     except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as e:
         raise ParseError(f"{path}: unreadable checkpoint: {e}") from e
-
-    def tensor(name: str) -> Tensor:
-        return Tensor(arrays[name].copy(), requires_grad=True)
-
-    params = ModelParams(
-        extractor=[(tensor(f"ext{i}_w"), tensor(f"ext{i}_b")) for i in range(len(meta["hidden"]))],
-        closed_w=tensor("closed_w"),
-        closed_b=tensor("closed_b"),
-        ova_w=tensor("ova_w"),
-        ova_b=tensor("ova_b"),
-        k_classes=meta["k_classes"],
-    )
-    return params, meta["config"]
+    return _from_list(tensors, meta["k_classes"]), meta["config"]
 
 
 def _checkpoint_meta(path, archive) -> dict:
@@ -258,14 +226,3 @@ def _checkpoint_meta(path, archive) -> dict:
         raise ParseError(f"{path}: malformed checkpoint meta")
     return meta
 
-
-def _checkpoint_shapes(meta: dict) -> dict[str, tuple[int, ...]]:
-    """Array name -> shape, as save_checkpoint writes them for meta."""
-    widths = [meta["d_in"], *meta["hidden"]]
-    k = meta["k_classes"]
-    shapes = {}
-    for i, h in enumerate(meta["hidden"]):
-        shapes[f"ext{i}_w"] = (widths[i], h)
-        shapes[f"ext{i}_b"] = (h,)
-    shapes.update(closed_w=(widths[-1], k), closed_b=(k,), ova_w=(widths[-1], 2 * k), ova_b=(2 * k,))
-    return shapes

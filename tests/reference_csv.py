@@ -32,10 +32,12 @@ def _first_nonfinite(path) -> str:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        for lineno, row in enumerate(reader, start=2):
+        lineno = reader.line_num + 1  # the line the next row starts on
+        for row in reader:
             for name, value in zip(header[3:], row[3:]):
                 if not np.isfinite(float(value)):
                     return f"{path}:{lineno}: feature {name} is {value!r}; features must be finite"
+            lineno = reader.line_num + 1
     return f"{path}: non-finite feature"
 
 
@@ -44,17 +46,16 @@ def load_csv(path) -> Dataset:
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            lineno = 0  # rows read so far, one line each; a csv.Error is in the next row
+            lineno = 1  # the line the row being read starts on; a quoted field may span lines
             try:
                 header = next(reader, None)
-                lineno = 1
                 if header is None or header[:3] != ["role", "label", "tag"]:
                     raise ParseError(f"{path}: missing or malformed header")
                 d_in = len(header) - 3
                 if d_in < 1 or header[3:] != [f"f{i}" for i in range(d_in)]:
                     raise ParseError(f"{path}: feature columns must be f0..f{{d-1}}")
+                lineno = reader.line_num + 1
                 for row in reader:
-                    lineno += 1
                     if len(row) != 3 + d_in:
                         raise ParseError(f"{path}:{lineno}: expected {3 + d_in} fields, got {len(row)}")
                     role, label_s, tag_s = row[0], row[1], row[2]
@@ -70,8 +71,9 @@ def load_csv(path) -> Dataset:
                     if not -2**63 <= label < 2**63:
                         raise ParseError(f"{path}:{lineno}: label {label_s!r} is outside int64")
                     rows[role].append((label, TAG_CODES[tag_s], feats))
+                    lineno = reader.line_num + 1
             except csv.Error as e:
-                raise ParseError(f"{path}:{lineno + 1}: {e}") from e
+                raise ParseError(f"{path}:{lineno}: {e}") from e
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text: {e}") from e
 

@@ -1,15 +1,18 @@
 """The names the benchmark's outside tracer wraps must stay where it
-looks them up.
+looks them up, and the checkpoint arrays its scorer reads must keep their
+names.
 
 bench/tracer.py replaces module and class attributes with timing
 wrappers and leaves out every per-layer metric whose wrap point is gone.
 These tests read that file, without changing it, and check that every
 wrap point exists and that the callers really go through the wrapped
 names: a loss that stops calling `losses.feature_extract`, say, would
-silently drop the extractor-pass counters from the report.
+silently drop the extractor-pass counters from the report. Likewise
+bench/workloads.py scores a checkpoint straight from its array names.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,21 +21,32 @@ import pytest
 
 from openset_ssl import autodiff, cli, data, evaluation, losses, model, trainer
 from openset_ssl.data import GenConfig, gen_synthetic, sample_batches
-from openset_ssl.model import init_params
+from openset_ssl.model import init_params, save_checkpoint
 from openset_ssl.trainer import TrainConfig
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+WORKLOADS_PATH = TRACER_PATH.with_name("workloads.py")
 PKG = SimpleNamespace(autodiff=autodiff, data=data, model=model, losses=losses,
                       evaluation=evaluation, trainer=trainer, cli=cli)
 FORWARD_PIECES = ("feature_extract", "classify_closed", "ova_probs")
 
 
-@pytest.fixture(scope="module")
-def tracer_module():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+def load_unchanged(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses looks a class's module up here
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    return load_unchanged("bench_tracer", TRACER_PATH)
+
+
+@pytest.fixture(scope="module")
+def workloads_module():
+    return load_unchanged("bench_workloads", WORKLOADS_PATH)
 
 
 def counting(monkeypatch, owner, attr):
@@ -114,3 +128,16 @@ def test_traced_cli_flow_reports_every_counter(tracer_module, tmp_path):
                    "autodiff.nodes_per_step_warmup", "autodiff.nodes_per_step_selftrain"):
         assert metrics[metric] > 0, metric
     assert metrics["evaluation.test_forward_passes"] == 1
+
+
+@pytest.mark.parametrize("hidden", [(), (5,), (64, 64)], ids=["depth0", "depth1", "default"])
+def test_bench_scorer_reads_checkpoints_as_predict_open(workloads_module, tmp_path, hidden):
+    """A renamed or reordered checkpoint array fails here, not only in a
+    benchmark run."""
+    ds = gen_synthetic(GenConfig(), 0)
+    params = init_params(ds.d_in, hidden, ds.k_classes, np.random.default_rng(3))
+    save_checkpoint(tmp_path / "m.npz", params)
+    labels, scores = workloads_module.forward(tmp_path / "m.npz", ds.test.x)
+    pred = evaluation.predict_open(params, ds.test.x)
+    np.testing.assert_array_equal(labels, pred.closed_label)
+    np.testing.assert_array_equal(scores, 1.0 - pred.inlier_prob)

@@ -529,6 +529,45 @@ def test_negative_seed_exits_2_naming_key(tmp_path, capsys, case, key):
     assert f"error: {key} must be >= 0" in capsys.readouterr().err
 
 
+def with_line(text, line):
+    """text's key = value lines with line's key set by line."""
+    key = line.split(" = ")[0]
+    return "".join(f"{kept}\n" for kept in text.splitlines() if kept.split(" = ")[0] != key) + line + "\n"
+
+
+# command, config line, what stderr must name: a number parsing rejects, or a generator setting that overflows
+NONFINITE_SETTINGS = [
+    ("gen-data", "gen_center_box = inf", "key gen_center_box: expected a finite number, got 'inf'"),
+    ("gen-data", "gen_center_box = 1e308", "center_box 1e+308"),
+    ("gen-data", "gen_cluster_sigma = nan", "key gen_cluster_sigma: expected a finite number, got 'nan'"),
+    ("gen-data", "gen_cluster_sigma = 1e308", "cluster_sigma 1e+308"),
+    ("train", "lam_em = nan", "key lam_em: expected a finite number"),
+    ("train", "lam_oc = nan", "key lam_oc: expected a finite number"),
+    ("train", "momentum = nan", "key momentum: expected a finite number"),
+    ("train", "weak_noise_sigma = nan", "key weak_noise_sigma: expected a finite number"),
+    ("train", "lr = inf", "key lr: expected a finite number"),
+]
+
+
+@pytest.mark.parametrize("command,line,named", NONFINITE_SETTINGS, ids=[c[1] for c in NONFINITE_SETTINGS])
+def test_nonfinite_setting_exits_2_naming_it(tmp_path, capsys, command, line, named):
+    """Exit 2 with no RuntimeWarning and no output file; a finite lr that
+    diverges still exits 3 (test_diverging_training_exits_3)."""
+    if command == "gen-data":
+        cfg, out = tmp_path / "gen.cfg", tmp_path / "d.csv"
+        cfg.write_text(with_line(GEN_LINES, line))
+    else:
+        out = tmp_path / "run"
+        cfg = write_spec(tmp_path, train=with_line(TRAIN_LINES, line), out_dir=out)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not out.exists()
+
+
 class TestAblateCmd:
     def test_two_variants_share_data_and_seed(self, tmp_path):
         spec = write_spec(tmp_path, out_dir=tmp_path / "ab")

@@ -116,6 +116,11 @@ REJECTED = [
     # the quote swallows the rows after it until csv's 131072-character field limit
     ("unclosed_quote", BASE.replace("test,-1,", 'test,"-1,') + "test,-1,unseen_outlier,7.0,8.5\r\n" * 5000,
      "bad.csv:6: field larger than field limit (131072)"),
+    # the quoted 1.5 runs onto line 3, so the unlabeled row is physical line 5
+    ("multiline_quoted_row_then_bad_line", BASE.replace(",1.5,", ',"1.5\r\n",').replace("5e-324", "x"),
+     "bad.csv:5: could not convert string to float: 'x'"),
+    ("multiline_quoted_row_then_nonfinite", BASE.replace(",1.5,", ',"1.5\r\n",').replace("1e300", "inf"),
+     "bad.csv:6: feature f1 is 'inf'; features must be finite"),
     ("unclosed_quote_in_header", BASE.replace("role,", 'role,"') + "test,-1,unseen_outlier,7.0,8.5\r\n" * 5000,
      "bad.csv:1: field larger than field limit (131072)"),
 ]

@@ -1,6 +1,9 @@
 """Data layer: generator geometry, augmentation statistics, batch
 sampling, and exact CSV round-trips."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +94,13 @@ class TestGenerator:
         with pytest.raises(GenerationError):
             gen_synthetic(cfg, seed=4)
 
+    @pytest.mark.parametrize("change", [{"center_box": 1e308}, {"cluster_sigma": float("nan")},
+                                        {"cluster_sigma": 1e308}], ids=["box_overflows", "sigma_nan", "sigma_huge"])
+    def test_nonfinite_draw_raises(self, change):
+        # a RuntimeWarning would fail the test before the error is checked
+        with pytest.raises(GenerationError, match=next(iter(change))):
+            gen_synthetic(replace(SMALL, **change), seed=0)
+
     def test_more_labels_than_samples_rejected(self):
         from dataclasses import replace
 
@@ -103,6 +113,39 @@ class TestGenerator:
         view = ds.train_view()
         assert not hasattr(view, "tag") and not hasattr(view, "unlabeled_tags")
         assert set(vars(view)) == {"labeled_x", "labeled_y", "unlabeled_x"}
+
+
+DEFAULT = GenConfig()
+TINY = GenConfig(k_classes=2, n_seen_outlier=1, n_unseen_outlier=1, d_in=2, train_per_class=4,
+                 labels_per_class=2, unlabeled_per_outlier=2, test_per_class=2, test_per_outlier=2,
+                 min_center_distance=1.0)
+# sha256 over dtype, shape and bytes of every split's x, y, tag for seeds
+# 0, 1, 2: a reordered draw, split or cluster changes the digest
+PINNED_DATASETS = [
+    ("default", DEFAULT, "0aab801780aaf7d98d5cb86f28074a16a83b845cce7cabe1eadf9d363fbfc166"),
+    ("d_in_32", replace(DEFAULT, d_in=32), "eeccf0c691de924a7e63c45f11a5cd8ccee082854eb345e075a1f85eb07afc82"),
+    ("no_outlier_clusters", replace(DEFAULT, n_seen_outlier=0, n_unseen_outlier=0),
+     "a205085af2d8fcb8cb6c630d8df0ca1231e54e71fb6ffbf27be35155d3487c72"),
+    ("one_class", replace(DEFAULT, k_classes=1), "b8d9c19e1ce31515bab2ab01ebc24aa615739114487166766caf9250570e70da"),
+    ("no_test_no_unlabeled_outliers", replace(DEFAULT, test_per_class=0, test_per_outlier=0, unlabeled_per_outlier=0),
+     "4168768fa017c8cd8618ac8067997df44cfb4a07077ca280f65cf1d1a9defe9a"),
+    ("all_train_labeled", replace(DEFAULT, labels_per_class=DEFAULT.train_per_class),
+     "e066bb7de1fe44afce38aadc99d6d3d9440f963abc4c7e23177b01c95e08d57b"),
+    ("zero_sigma", replace(DEFAULT, cluster_sigma=0.0), "7a5f4202b2e4dc6fa36cef1711203a61f14f51dfde9ce2203d56b134c105d1a5"),
+    ("tiny_csv", TINY, "ae54b001b59b5052381a67f57940ac65c8296a912e88fcf72bae24a57cae23df"),
+]
+
+
+@pytest.mark.parametrize("name,cfg,digest", PINNED_DATASETS, ids=[c[0] for c in PINNED_DATASETS])
+def test_generator_bits_are_pinned(name, cfg, digest):
+    h = hashlib.sha256()
+    for seed in (0, 1, 2):
+        ds = gen_synthetic(cfg, seed)
+        for split in (ds.labeled, ds.unlabeled, ds.test):
+            for a in (split.x, split.y, split.tag):
+                h.update(f"{a.dtype.str}{a.shape}".encode())
+                h.update(a.tobytes())
+    assert h.hexdigest() == digest
 
 
 class TestAugment:

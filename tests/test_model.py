@@ -1,7 +1,9 @@
 """Model heads: hand-computed forwards, probability invariants, the
 outlier verdict rule, and checkpoint persistence."""
 
+import hashlib
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -218,6 +220,32 @@ class TestCheckpoint:
         out = ref.tensor_sum(classify_closed(loaded, feature_extract(loaded, np.ones((2, 3)))))
         out.backward()
         assert loaded.closed_w.grad is not None
+
+
+# sha256 over dtype, shape and bytes of parameters() from init_params(8,
+# hidden, 4, default_rng(0)): a reordered draw or parameter changes it
+PINNED_INIT = [
+    ((), "5730891d909235263d3cc06d680d12a615d5e9522ed9688621d37bafc3ecc628"),
+    ((5,), "0d9ea7f0d6d35ea19c33a1f0c5dcc3b2c639ab6edeba5f6742a3d2a1fb09bc6d"),
+    ((64, 64), "7a29ac32aa4be6f7f46ede4b007a9820fb8055d6a4f3ae7c33113b40041af943"),
+]
+
+
+@pytest.mark.parametrize("hidden,digest", PINNED_INIT, ids=["depth0", "depth1", "default"])
+def test_init_bits_are_pinned(hidden, digest):
+    h = hashlib.sha256()
+    for t in init_params(8, hidden, 4, np.random.default_rng(0)).parameters():
+        h.update(f"{t.data.dtype.str}{t.data.shape}".encode())
+        h.update(t.data.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_checkpoint_member_names_are_pinned(tmp_path):
+    """bench/workloads.forward reads the arrays by these names."""
+    save_checkpoint(tmp_path / "m.npz", init_params(8, (64, 64), 4, np.random.default_rng(0)))
+    with zipfile.ZipFile(tmp_path / "m.npz") as archive:
+        assert archive.namelist() == ["meta.npy", "ext0_w.npy", "ext0_b.npy", "ext1_w.npy", "ext1_b.npy",
+                                      "closed_w.npy", "closed_b.npy", "ova_w.npy", "ova_b.npy"]
 
 
 def test_copy_is_deep():
