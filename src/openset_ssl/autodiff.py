@@ -13,7 +13,8 @@ node, each loss term is one node over the head outputs, and the
 objective's weighted sum of the terms is one node. A fused node's
 forward and backward repeat the numpy arithmetic of the generic-op
 chain it stands for, op for op and in the same order, and each pass
-still adds into each weight once, in the same graph order. Gradients
+still adds into each weight once, in the same graph order; the pair
+softmax only writes its length-2 reductions out elementwise. Gradients
 and trained parameters are therefore bit-identical to the generic-op
 graph's; the tests keep that graph (tests/reference_ops.py) as the
 reference.
@@ -125,19 +126,33 @@ def make_node(data: np.ndarray, parents: Iterable[Tensor], backward) -> Tensor:
     return out
 
 
-def softmax_data(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-shifted softmax of a plain array: the fused heads' forward."""
-    if x.shape[axis] < 2:
-        raise DimensionError(f"softmax needs at least 2 entries along axis {axis}, got shape {x.shape}")
-    shifted = x - x.max(axis=axis, keepdims=True)
+def softmax_data(x: np.ndarray) -> np.ndarray:
+    """Max-shifted softmax over the last axis: the closed head's forward."""
+    if x.shape[-1] < 2:
+        raise DimensionError(f"softmax needs at least 2 entries along the last axis, got shape {x.shape}")
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_grad(s: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
-    """The softmax backward: the gradient at the logits, given the
-    softmax output s and its gradient g."""
-    return s * (g - (g * s).sum(axis=axis, keepdims=True))
+def softmax_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The softmax backward: the logits' gradient, given the output s and its gradient g."""
+    return s * (g - (g * s).sum(axis=-1, keepdims=True))
+
+
+def pair_softmax_data(z: np.ndarray) -> np.ndarray:
+    """softmax_data over a last axis of length 2, bit for bit, without numpy's slow reductions."""
+    shifted = z - np.maximum(z[..., 0], z[..., 1])[..., None]
+    e = np.exp(shifted)
+    return e / (e[..., 0] + e[..., 1])[..., None]
+
+
+def pair_softmax_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """softmax_grad over a last axis of length 2, bit for bit."""
+    gs = g * s
+    total = gs[..., 0] + gs[..., 1]
+    total += 0.0  # numpy's sum starts from +0.0, so two -0.0 entries sum to +0.0
+    return s * (g - total[..., None])
 
 
 def neg_log_pick(probs: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:

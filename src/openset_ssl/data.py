@@ -113,9 +113,9 @@ class AugmentConfig:
     strong_mask_prob: float = 0.25
 
     def validate(self) -> None:
-        if self.weak_noise_sigma < 0:
+        if not self.weak_noise_sigma >= 0:  # range checks are written so that nan fails them
             raise ConfigError(f"weak_noise_sigma must be >= 0, got {self.weak_noise_sigma}")
-        if self.strong_noise_sigma < self.weak_noise_sigma:
+        if not self.strong_noise_sigma >= self.weak_noise_sigma:
             raise ConfigError("strong_noise_sigma must be >= weak_noise_sigma")
         if not 0.0 <= self.strong_mask_prob <= 1.0:
             raise ConfigError(f"strong_mask_prob must lie in [0, 1], got {self.strong_mask_prob}")
@@ -152,9 +152,9 @@ class GenConfig:
             )
         if self.unlabeled_per_outlier < 0 or self.test_per_class < 0 or self.test_per_outlier < 0:
             raise ConfigError("sample counts must be >= 0")
-        if self.cluster_sigma < 0:
+        if not self.cluster_sigma >= 0:  # range checks are written so that nan fails them
             raise ConfigError(f"cluster_sigma must be >= 0, got {self.cluster_sigma}")
-        if self.min_center_distance < 0 or self.center_box <= 0 or self.max_center_retries < 1:
+        if not (self.min_center_distance >= 0 and self.center_box > 0) or self.max_center_retries < 1:
             raise ConfigError("invalid cluster placement settings")
 
 

@@ -181,11 +181,11 @@ def fixmatch_from_views(params: ModelParams, weak: np.ndarray, strong: np.ndarra
         return Tensor(0.0), 0
     with ad.no_grad():
         q = _closed(params, weak).data
-    confident = q.max(axis=1) >= tau
+    pseudo = q.argmax(axis=1)
+    confident = q[np.arange(len(q)), pseudo] >= tau  # the row max, gathered
     count = int(confident.sum())
     if count == 0:
         return Tensor(0.0), 0
-    pseudo = q.argmax(axis=1)
     mask = confident.astype(np.float64)
     strong_probs = _closed(params, strong)
     nll, nll_backward = ad.neg_log_pick(strong_probs.data, pseudo)

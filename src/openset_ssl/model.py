@@ -11,7 +11,8 @@ evaluation.predict_open.
 
 _layout is the one table of the parameters' names and shapes, in
 parameters() order: init_params draws from it, and checkpoints name and
-check their arrays by it.
+check their arrays by it. ModelParams.flat holds all parameters in one
+float64 vector, and each tensor's .data is a view into it.
 """
 
 from __future__ import annotations
@@ -39,12 +40,11 @@ class ModelParams:
     ova_w: Tensor
     ova_b: Tensor
     k_classes: int
+    flat: np.ndarray  # every tensor's .data is a view into it
 
     @property
     def d_in(self) -> int:
-        if self.extractor:
-            return self.extractor[0][0].shape[0]
-        return self.closed_w.shape[0]
+        return (self.extractor[0][0] if self.extractor else self.closed_w).shape[0]
 
     @property
     def hidden(self) -> tuple[int, ...]:
@@ -54,7 +54,7 @@ class ModelParams:
         return [t for layer in self.extractor for t in layer] + [self.closed_w, self.closed_b, self.ova_w, self.ova_b]
 
     def copy(self) -> "ModelParams":
-        return _from_list([Tensor(t.data.copy(), requires_grad=True) for t in self.parameters()], self.k_classes)
+        return _from_list([t.data for t in self.parameters()], self.k_classes)
 
 
 def _layout(d_in: int, hidden: Sequence[int], k_classes: int) -> dict[str, tuple[int, ...]]:
@@ -67,10 +67,13 @@ def _layout(d_in: int, hidden: Sequence[int], k_classes: int) -> dict[str, tuple
     return shapes | {"closed_w": (widths[-1], k), "closed_b": (k,), "ova_w": (widths[-1], 2 * k), "ova_b": (2 * k,)}
 
 
-def _from_list(tensors: list[Tensor], k_classes: int) -> ModelParams:
-    """ModelParams from its tensors in parameters() order."""
-    *extractor, closed_w, closed_b, ova_w, ova_b = tensors
-    return ModelParams(list(zip(extractor[::2], extractor[1::2])), closed_w, closed_b, ova_w, ova_b, k_classes)
+def _from_list(arrays: list[np.ndarray], k_classes: int) -> ModelParams:
+    """ModelParams over one flat copy of arrays, given in parameters() order."""
+    flat = np.concatenate([a.ravel() for a in arrays])
+    ends = np.cumsum([a.size for a in arrays])
+    *extractor, closed_w, closed_b, ova_w, ova_b = (
+        Tensor(flat[end - a.size:end].reshape(a.shape), requires_grad=True) for a, end in zip(arrays, ends))
+    return ModelParams(list(zip(extractor[::2], extractor[1::2])), closed_w, closed_b, ova_w, ova_b, k_classes, flat)
 
 
 def init_params(d_in: int, hidden: Sequence[int], k_classes: int, rng: np.random.Generator) -> ModelParams:
@@ -78,12 +81,11 @@ def init_params(d_in: int, hidden: Sequence[int], k_classes: int, rng: np.random
         raise ConfigError(f"need d_in >= 1 and k_classes >= 1, got {d_in}, {k_classes}")
     if any(h < 1 for h in hidden):
         raise ConfigError(f"hidden widths must be positive, got {tuple(hidden)}")
-    tensors = []
+    arrays = []
     for shape in _layout(d_in, hidden, k_classes).values():  # Glorot-uniform weights, zero biases
         limit = np.sqrt(6.0 / sum(shape))
-        tensors.append(Tensor(rng.uniform(-limit, limit, size=shape) if len(shape) == 2 else np.zeros(shape),
-                              requires_grad=True))
-    return _from_list(tensors, k_classes)
+        arrays.append(rng.uniform(-limit, limit, size=shape) if len(shape) == 2 else np.zeros(shape))
+    return _from_list(arrays, k_classes)
 
 
 def feature_extract(params: ModelParams, x) -> Tensor:
@@ -129,15 +131,16 @@ def feature_extract(params: ModelParams, x) -> Tensor:
 def _head(features: Tensor, w: Tensor, b: Tensor, pairs: int | None = None) -> Tensor:
     """softmax(features @ w + b) as one autodiff node repeating the
     generic ops. With pairs=K, the logits are reshaped to [B, K, 2] first
-    and the softmax runs over each pair."""
+    and the pair softmax runs over each pair."""
     if features.data.ndim != 2 or features.shape[1] != w.shape[0]:
         raise DimensionError(f"head expects features of shape [B, {w.shape[0]}], got {features.shape}")
     z = features.data @ w.data
     z += b.data
-    s = ad.softmax_data(z if pairs is None else z.reshape((len(z), pairs, 2)))
+    s = ad.softmax_data(z) if pairs is None else ad.pair_softmax_data(z.reshape((len(z), pairs, 2)))
+    softmax_grad = ad.softmax_grad if pairs is None else ad.pair_softmax_grad
 
     def backward(g):
-        g = ad.softmax_grad(s, g).reshape(z.shape)
+        g = softmax_grad(s, g).reshape(z.shape)
         ad.accumulate(b, g.sum(axis=0))
         ad.accumulate(w, features.data.T @ g)
         if features.requires_grad:
@@ -189,7 +192,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             raise ParseError(f"{path}: not a checkpoint produced by this package")
         with archive:
             meta = _checkpoint_meta(path, archive)
-            tensors = []
+            arrays = []
             for name, shape in _layout(meta["d_in"], meta["hidden"], meta["k_classes"]).items():
                 if name not in archive.files:
                     raise ParseError(f"{path}: checkpoint has no array {name!r}")
@@ -197,10 +200,10 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
                 if arr.dtype != np.float64 or arr.shape != shape:
                     raise ParseError(f"{path}: array {name!r} is {arr.dtype} {arr.shape}, "
                                      f"but its meta implies float64 {shape}")
-                tensors.append(Tensor(arr.copy(), requires_grad=True))
+                arrays.append(arr)
     except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as e:
         raise ParseError(f"{path}: unreadable checkpoint: {e}") from e
-    return _from_list(tensors, meta["k_classes"]), meta["config"]
+    return _from_list(arrays, meta["k_classes"]), meta["config"]
 
 
 def _checkpoint_meta(path, archive) -> dict:

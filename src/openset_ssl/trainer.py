@@ -2,9 +2,10 @@
 
 Each epoch runs i_max steps. A step samples a labeled batch and an
 unlabeled batch, builds the objective, backpropagates, and applies one
-optimizer update. From epoch e_fix onward the epoch ends by re-selecting
-the pseudo-inlier candidate set (full replacement); the pseudo-label
-term starts consuming that set on the following epoch.
+optimizer update to the flat parameter vector (ModelParams.flat). From
+epoch e_fix onward the epoch ends by re-selecting the pseudo-inlier
+candidate set (full replacement); the pseudo-label term starts
+consuming that set on the following epoch.
 
 Everything is driven by one seeded generator in a fixed draw order:
 parameter init, then per-step batch indices and augmentation noise.
@@ -13,11 +14,12 @@ Runs with equal configs and seeds are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from .autodiff import Tensor
 from .data import AugmentConfig, Dataset, sample_batches
 from .errors import ConfigError, NumericError
 from .evaluation import OUTLIER, MetricsRecord, evaluate_params, predict_open
@@ -49,13 +51,13 @@ class TrainConfig:
             raise ConfigError("b, mu, i_max and eval_every must all be >= 1")
         if not 1 <= self.e_fix <= self.e_max:
             raise ConfigError(f"need 1 <= e_fix <= e_max, got e_fix={self.e_fix}, e_max={self.e_max}")
-        if self.lr <= 0.0:
+        if not self.lr > 0.0:  # each range check is written so that nan fails it
             raise ConfigError(f"lr must be > 0, got {self.lr}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.momentum < 0.0:
+        if not self.momentum >= 0.0:
             raise ConfigError(f"momentum must be >= 0, got {self.momentum}")
-        if min(self.lam_em, self.lam_oc, self.lam_fm) < 0.0:
+        if not all(lam >= 0.0 for lam in (self.lam_em, self.lam_oc, self.lam_fm)):
             raise ConfigError("loss weights must be >= 0")
         if not 0.0 < self.tau <= 1.0:
             raise ConfigError(f"tau must lie in (0, 1], got {self.tau}")
@@ -81,31 +83,27 @@ def select_pseudo_inliers(params: ModelParams, unlabeled_x: np.ndarray) -> np.nd
     return np.flatnonzero(prediction.verdict != OUTLIER)
 
 
-def init_velocities(params: ModelParams) -> list[np.ndarray]:
-    return [np.zeros_like(p.data) for p in params.parameters()]
+def gather_grads(tensors: Sequence[Tensor], out: np.ndarray) -> np.ndarray:
+    """Move the tensors' gradients, in order, into the flat vector out, freeing them."""
+    if any(t.grad is None for t in tensors):
+        raise NumericError("missing gradient; step aborted")
+    np.concatenate([t.grad.ravel() for t in tensors], out=out)
+    for t in tensors:
+        t.zero_grad()
+    return out
 
 
-def sgd_step(
-    params: Sequence,
-    grads: Sequence[np.ndarray],
-    velocities: Sequence[np.ndarray],
-    lr: float,
-    momentum: float,
-) -> None:
-    """Nesterov update: v <- m*v + g; p <- p - lr*(g + m*v).
-
-    Rejects non-finite gradients before touching any state, so an
-    aborted step leaves parameters and velocities unchanged.
-    """
-    if not (len(params) == len(grads) == len(velocities)):
-        raise ConfigError("params, grads and velocities must align")
-    for g in grads:
-        if g is None or not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient; step aborted")
-    for p, g, v in zip(params, grads, velocities):
-        v *= momentum
-        v += g
-        p.data -= lr * (g + momentum * v)
+def sgd_step(flat: np.ndarray, grad: np.ndarray, velocity: np.ndarray, lr: float, momentum: float) -> None:
+    """Nesterov update in place: v <- m*v + g; p <- p - lr*(g + m*v). A
+    non-finite gradient is rejected before any state changes."""
+    if not np.isfinite(grad).all():
+        raise NumericError("non-finite gradient; step aborted")
+    velocity *= momentum
+    velocity += grad
+    step = np.multiply(velocity, momentum)  # the one scratch vector
+    step += grad
+    step *= lr
+    flat -= step
 
 
 _EMPTY_INDEX = np.empty(0, dtype=np.int64)
@@ -116,7 +114,7 @@ def train(dataset: Dataset, config: TrainConfig, initial_pseudo_inliers: np.ndar
     view = dataset.train_view()
     rng = np.random.default_rng(config.seed)
     params = init_params(dataset.d_in, config.hidden, dataset.k_classes, rng)
-    velocities = init_velocities(params)
+    velocity, grad = np.zeros_like(params.flat), np.empty_like(params.flat)
     tensors = params.parameters()
     pseudo = _EMPTY_INDEX if initial_pseudo_inliers is None else np.asarray(initial_pseudo_inliers, dtype=np.int64)
 
@@ -133,11 +131,9 @@ def train(dataset: Dataset, config: TrainConfig, initial_pseudo_inliers: np.ndar
             total, bd = loss_all(params, xb, yb, ub, ib, config, rng, epoch)
             if not np.isfinite(bd.l_all):
                 raise NumericError(f"non-finite loss at epoch {epoch}, iteration {it}")
-            for t in tensors:
-                t.zero_grad()
             total.backward()
             try:
-                sgd_step(tensors, [t.grad for t in tensors], velocities, config.lr, config.momentum)
+                sgd_step(params.flat, gather_grads(tensors, grad), velocity, config.lr, config.momentum)
             except NumericError as e:
                 raise NumericError(f"{e} (epoch {epoch}, iteration {it})") from e
             steps += 1
@@ -167,8 +163,3 @@ def train(dataset: Dataset, config: TrainConfig, initial_pseudo_inliers: np.ndar
                 )
             )
     return TrainHistory(records=records, k_sizes=k_sizes, steps=steps, final_params=params)
-
-
-def supervised_config(config: TrainConfig) -> TrainConfig:
-    """The same run with every unlabeled term switched off."""
-    return replace(config, lam_em=0.0, lam_oc=0.0, lam_fm=0.0)

@@ -13,8 +13,22 @@ from typing import Sequence
 
 import numpy as np
 
-from openset_ssl.autodiff import LOG_EPS, Tensor, accumulate, make_node, softmax_data, softmax_grad
+from openset_ssl.autodiff import LOG_EPS, Tensor, accumulate, make_node
 from openset_ssl.errors import DimensionError
+
+
+def softmax_data(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Max-shifted softmax of a plain array along axis, by numpy reductions."""
+    if x.shape[axis] < 2:
+        raise DimensionError(f"softmax needs at least 2 entries along axis {axis}, got shape {x.shape}")
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax_grad(s: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The softmax backward along axis, given the output s and its gradient g."""
+    return s * (g - (g * s).sum(axis=axis, keepdims=True))
 
 
 def _as_tensor(x) -> Tensor:

@@ -184,10 +184,10 @@ def _traced_run(dataset, config, initial=None, selector=None):
     real_select = trainer_mod.select_pseudo_inliers
     hashes = []
 
-    def spy_step(tensors, grads, velocities, lr, momentum):
-        real_step(tensors, grads, velocities, lr, momentum)
-        blob = b"".join(t.data.tobytes() for t in tensors)
-        hashes.append(hashlib.sha1(blob).hexdigest())
+    def spy_step(flat, grad, velocity, lr, momentum):
+        real_step(flat, grad, velocity, lr, momentum)
+        # every parameter's bytes, in parameters() order
+        hashes.append(hashlib.sha1(flat.tobytes()).hexdigest())
 
     trainer_mod.sgd_step = spy_step
     if selector is not None:

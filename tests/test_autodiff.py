@@ -162,6 +162,65 @@ class TestSoftmax:
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
 
 
+def _pair_cases():
+    """(name, logits [B, K, 2], output gradient) for the pair softmax."""
+    rng = np.random.default_rng(5)
+    cases = [(f"random-{b}x{k}", rng.normal(scale=3.0, size=(b, k, 2)), rng.normal(size=(b, k, 2)))
+             for b, k in ((1, 1), (64, 4), (128, 4), (7, 9))]
+    cases.append(("equal", np.full((3, 4, 2), 1.25), rng.normal(size=(3, 4, 2))))
+    gap = rng.normal(size=(4, 3, 2))
+    gap[:, :, 1] = gap[:, :, 0] - 800.0  # exp(-800) underflows to 0
+    gap[1] = gap[1, :, ::-1]
+    cases.append(("gap800", gap, rng.normal(size=(4, 3, 2))))
+    g = rng.normal(size=(5, 4, 2))
+    g[0] = -0.0
+    g[1, :, 0] = -0.0
+    g[2, 1, 1] = -0.0
+    cases.append(("negzero-grad", rng.normal(size=(5, 4, 2)), g))
+    z = rng.normal(size=(4, 4, 2))
+    z[2, 1, 0] = np.nan
+    z[3, :, 1] = np.nan
+    cases.append(("nan-row", z, rng.normal(size=(4, 4, 2))))
+    cases.append(("empty", np.empty((0, 4, 2)), np.empty((0, 4, 2))))
+    return cases
+
+
+class TestPairSoftmax:
+    """The one-vs-all head's pair softmax against the reference's numpy
+    reductions over the last axis: equal bytes, forward and backward."""
+
+    @pytest.mark.parametrize("z, g", [c[1:] for c in _pair_cases()], ids=[c[0] for c in _pair_cases()])
+    def test_bit_identical_to_reference(self, z, g):
+        s = ad.pair_softmax_data(z)
+        s_ref = ref.softmax_data(z)
+        np.testing.assert_array_equal(np.isnan(s), np.isnan(s_ref))
+        assert s.tobytes() == s_ref.tobytes()
+        dz = ad.pair_softmax_grad(s, g)
+        dz_ref = ref.softmax_grad(s_ref, g)
+        np.testing.assert_array_equal(np.isnan(dz), np.isnan(dz_ref))
+        assert dz.tobytes() == dz_ref.tobytes()
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(0, 9), st.integers(1, 5), st.just(2)),
+            elements=st.floats(-1000, 1000, allow_subnormal=True),
+        )
+    )
+    def test_bit_identical_on_arbitrary_logits(self, z):
+        g = np.cos(np.arange(z.size, dtype=np.float64)).reshape(z.shape)
+        s = ad.pair_softmax_data(z)
+        assert s.tobytes() == ref.softmax_data(z).tobytes()
+        assert ad.pair_softmax_grad(s, g).tobytes() == ref.softmax_grad(s, g).tobytes()
+
+    def test_closed_softmax_matches_reference(self):
+        z = np.random.default_rng(6).normal(size=(32, 5))
+        g = np.random.default_rng(7).normal(size=(32, 5))
+        s = ad.softmax_data(z)
+        assert s.tobytes() == ref.softmax_data(z).tobytes()
+        assert ad.softmax_grad(s, g).tobytes() == ref.softmax_grad(s, g).tobytes()
+
+
 class TestGraph:
     def test_shared_subexpression_accumulates(self):
         x = Tensor([1.5], requires_grad=True)

@@ -94,11 +94,14 @@ class TestGenerator:
         with pytest.raises(GenerationError):
             gen_synthetic(cfg, seed=4)
 
-    @pytest.mark.parametrize("change", [{"center_box": 1e308}, {"cluster_sigma": float("nan")},
-                                        {"cluster_sigma": 1e308}], ids=["box_overflows", "sigma_nan", "sigma_huge"])
-    def test_nonfinite_draw_raises(self, change):
-        # a RuntimeWarning would fail the test before the error is checked
-        with pytest.raises(GenerationError, match=next(iter(change))):
+    @pytest.mark.parametrize("change, error", [({"center_box": 1e308}, GenerationError),
+                                               ({"cluster_sigma": float("nan")}, ConfigError),
+                                               ({"cluster_sigma": 1e308}, GenerationError)],
+                             ids=["box_overflows", "sigma_nan", "sigma_huge"])
+    def test_nonfinite_draw_raises(self, change, error):
+        # a RuntimeWarning would fail the test before the error is checked;
+        # a nan sigma is rejected by validate() before anything is drawn
+        with pytest.raises(error, match=next(iter(change))):
             gen_synthetic(replace(SMALL, **change), seed=0)
 
     def test_more_labels_than_samples_rejected(self):

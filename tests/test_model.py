@@ -253,3 +253,27 @@ def test_copy_is_deep():
     dup = params.copy()
     dup.closed_w.data[:] = 0.0
     assert not np.all(params.closed_w.data == 0.0)
+
+
+def _views_of_flat(params):
+    tensors = params.parameters()
+    assert params.flat.dtype == np.float64 and params.flat.ndim == 1
+    assert params.flat.size == sum(t.data.size for t in tensors)
+    assert all(np.shares_memory(t.data, params.flat) for t in tensors)
+    # the views tile flat in parameters() order
+    assert params.flat.tobytes() == b"".join(t.data.tobytes() for t in tensors)
+
+
+@pytest.mark.parametrize("hidden", [(), (4,), (5, 3)], ids=["depth0", "depth1", "depth2"])
+def test_parameters_are_views_of_one_flat_vector(hidden, tmp_path):
+    params = init_params(3, hidden, 2, np.random.default_rng(12))
+    _views_of_flat(params)
+    save_checkpoint(tmp_path / "m.npz", params)
+    loaded, _ = load_checkpoint(tmp_path / "m.npz")
+    _views_of_flat(loaded)
+    assert loaded.flat.tobytes() == params.flat.tobytes()
+    dup = params.copy()
+    _views_of_flat(dup)
+    assert dup.flat.tobytes() == params.flat.tobytes()
+    assert not any(np.shares_memory(a.data, params.flat) for a in dup.parameters())
+    assert not np.shares_memory(dup.flat, params.flat)

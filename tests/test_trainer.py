@@ -1,26 +1,18 @@
 """Training loop: optimizer recurrence, candidate-set gating, epoch
 accounting, determinism, and the supervised reduction."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import openset_ssl.trainer as trainer_mod
 import reference_ops as ref
-from openset_ssl import autodiff as ad
 from openset_ssl.data import AugmentConfig, GenConfig, gen_synthetic, sample_batches
 from openset_ssl.errors import ConfigError, NumericError
 from openset_ssl.losses import loss_cls, loss_ova
 from openset_ssl.model import init_params
-from openset_ssl.trainer import (
-    TrainConfig,
-    init_velocities,
-    select_pseudo_inliers,
-    sgd_step,
-    supervised_config,
-    train,
-)
+from openset_ssl.trainer import TrainConfig, gather_grads, select_pseudo_inliers, sgd_step, train
 
 GEN = GenConfig(
     k_classes=3,
@@ -90,58 +82,76 @@ class TestSelectPseudoInliers:
 
 
 class TestSgdStep:
-    def tensor(self, value):
-        return ad.Tensor(np.array(value, dtype=np.float64), requires_grad=True)
-
     def test_zero_momentum_is_plain_sgd(self):
-        p = self.tensor([1.0, -2.0])
-        g = np.array([0.5, 0.25])
-        v = [np.zeros(2)]
-        sgd_step([p], [g], v, lr=0.1, momentum=0.0)
-        np.testing.assert_allclose(p.data, [1.0 - 0.05, -2.0 - 0.025], rtol=0, atol=0)
+        p = np.array([1.0, -2.0])
+        v = np.zeros(2)
+        sgd_step(p, np.array([0.5, 0.25]), v, lr=0.1, momentum=0.0)
+        np.testing.assert_allclose(p, [1.0 - 0.05, -2.0 - 0.025], rtol=0, atol=0)
 
     def test_two_step_recurrence(self):
         # hand-unrolled: v1=0.5, p1=1-0.1*(0.5+0.9*0.5)=0.905
         #                v2=0.95, p2=0.905-0.1*(0.5+0.9*0.95)=0.7695
-        p = self.tensor([1.0])
-        v = [np.zeros(1)]
+        p = np.array([1.0])
+        v = np.zeros(1)
         g = np.array([0.5])
-        sgd_step([p], [g], v, lr=0.1, momentum=0.9)
-        np.testing.assert_allclose(p.data, [0.905], rtol=0, atol=1e-15)
-        np.testing.assert_allclose(v[0], [0.5], rtol=0, atol=0)
-        sgd_step([p], [g], v, lr=0.1, momentum=0.9)
-        np.testing.assert_allclose(p.data, [0.7695], rtol=0, atol=1e-15)
-        np.testing.assert_allclose(v[0], [0.95], rtol=0, atol=1e-15)
+        sgd_step(p, g, v, lr=0.1, momentum=0.9)
+        np.testing.assert_allclose(p, [0.905], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(v, [0.5], rtol=0, atol=0)
+        sgd_step(p, g, v, lr=0.1, momentum=0.9)
+        np.testing.assert_allclose(p, [0.7695], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(v, [0.95], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(g, [0.5])  # the gradient is only read
 
     def test_zero_gradient_with_fresh_velocity_is_noop(self):
-        p = self.tensor([3.0])
-        v = init_velocities_like(p)
-        sgd_step([p], [np.zeros(1)], v, lr=0.1, momentum=0.9)
-        np.testing.assert_array_equal(p.data, [3.0])
+        p = np.array([3.0])
+        sgd_step(p, np.zeros(1), np.zeros(1), lr=0.1, momentum=0.9)
+        np.testing.assert_array_equal(p, [3.0])
+
+    def test_matches_per_tensor_update_bit_for_bit(self):
+        # the flat update repeats v *= m; v += g; p -= lr * (g + m * v)
+        rng = np.random.default_rng(0)
+        p, g, v = rng.normal(size=(3, 50))
+        g[:5] = -0.0
+        want_p, want_v = p.copy(), v.copy()
+        want_v *= 0.9
+        want_v += g
+        want_p -= 0.03 * (g + 0.9 * want_v)
+        sgd_step(p, g, v, lr=0.03, momentum=0.9)
+        assert p.tobytes() == want_p.tobytes()
+        assert v.tobytes() == want_v.tobytes()
 
     def test_nonfinite_gradient_mutates_nothing(self):
-        p1, p2 = self.tensor([1.0]), self.tensor([2.0])
-        v = [np.array([0.3]), np.array([0.4])]
-        grads = [np.array([0.1]), np.array([np.nan])]
-        with pytest.raises(NumericError):
-            sgd_step([p1, p2], grads, v, lr=0.1, momentum=0.9)
-        # pre-check runs before any update, so even the finite entry is untouched
-        np.testing.assert_array_equal(p1.data, [1.0])
-        np.testing.assert_array_equal(v[0], [0.3])
+        p = np.array([1.0, 2.0])
+        v = np.array([0.3, 0.4])
+        before = p.tobytes(), v.tobytes()
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NumericError):
+                sgd_step(p, np.array([0.1, bad]), v, lr=0.1, momentum=0.9)
+            # the check runs before any update, so even the finite entry is untouched
+            assert (p.tobytes(), v.tobytes()) == before
 
     def test_missing_gradient_rejected(self):
-        p = self.tensor([1.0])
-        with pytest.raises(NumericError):
-            sgd_step([p], [None], [np.zeros(1)], lr=0.1, momentum=0.9)
+        params = init_params(3, (4,), 2, np.random.default_rng(0))
+        tensors = params.parameters()
+        for t in tensors:
+            t.grad = np.ones_like(t.data)
+        tensors[2].grad = None
+        with pytest.raises(NumericError, match="missing gradient"):
+            gather_grads(tensors, np.empty_like(params.flat))
 
-    def test_misaligned_lengths_rejected(self):
-        p = self.tensor([1.0])
-        with pytest.raises(ConfigError):
-            sgd_step([p], [np.zeros(1)], [], lr=0.1, momentum=0.9)
-
-
-def init_velocities_like(p):
-    return [np.zeros_like(p.data)]
+    def test_gather_keeps_order_and_negative_zero(self):
+        params = init_params(3, (4,), 2, np.random.default_rng(0))
+        tensors = params.parameters()
+        for i, t in enumerate(tensors):
+            t.grad = np.full(t.shape, float(i))
+        tensors[0].grad[0, 0] = -0.0
+        want = b"".join(t.grad.tobytes() for t in tensors)
+        out = np.empty_like(params.flat)
+        got = gather_grads(tensors, out)
+        assert got is out
+        assert out.tobytes() == want
+        # the per-tensor gradients are freed, so the next backward starts afresh
+        assert all(t.grad is None for t in tensors)
 
 
 class TestConfigValidation:
@@ -166,6 +176,20 @@ class TestConfigValidation:
     def test_rejects(self, overrides):
         with pytest.raises(ConfigError):
             replace(TrainConfig(), **overrides).validate()
+
+    @pytest.mark.parametrize(
+        "config, name",
+        [
+            *((TrainConfig(), n) for n in ("lr", "momentum", "lam_em", "lam_oc", "lam_fm")),
+            *((AugmentConfig(), n) for n in ("weak_noise_sigma", "strong_noise_sigma")),
+            *((GenConfig(), n) for n in ("cluster_sigma", "min_center_distance", "center_box")),
+        ],
+        ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+    )
+    def test_rejects_nan(self, config, name):
+        assert name in {f.name for f in fields(config)}
+        with pytest.raises(ConfigError):
+            replace(config, **{name: float("nan")}).validate()
 
 
 class TestTrainLoop:
@@ -197,6 +221,11 @@ class TestTrainLoop:
         assert params_equal(a.final_params, b.final_params)
         assert a.k_sizes == b.k_sizes
         assert [r.l_all_dict() if hasattr(r, "l_all_dict") else r for r in a.records] == b.records
+
+    def test_final_params_are_views_of_flat(self):
+        params = train(dataset(), FAST).final_params
+        assert all(np.shares_memory(t.data, params.flat) for t in params.parameters())
+        assert params.flat.tobytes() == b"".join(t.data.tobytes() for t in params.parameters())
 
     def test_seed_changes_the_run(self):
         ds = dataset()
@@ -252,6 +281,11 @@ class TestTrainLoop:
             train(dataset(), replace(FAST, e_fix=5, e_max=2))
 
 
+def supervised_config(config: TrainConfig) -> TrainConfig:
+    """The same run with every unlabeled term switched off."""
+    return replace(config, lam_em=0.0, lam_oc=0.0, lam_fm=0.0)
+
+
 class TestSupervisedReduction:
     def test_zero_weights_match_hand_rolled_loop(self):
         # with every unlabeled term off and no consuming epoch, train() must
@@ -263,7 +297,8 @@ class TestSupervisedReduction:
         view = ds.train_view()
         rng = np.random.default_rng(cfg.seed)
         params = init_params(ds.d_in, cfg.hidden, ds.k_classes, rng)
-        velocities = init_velocities(params)
+        velocity = np.zeros_like(params.flat)
+        grad = np.empty_like(params.flat)
         tensors = params.parameters()
         empty = np.empty(0, dtype=np.int64)
         for _ in range(cfg.e_max):
@@ -273,7 +308,7 @@ class TestSupervisedReduction:
                 for t in tensors:
                     t.zero_grad()
                 total.backward()
-                sgd_step(tensors, [t.grad for t in tensors], velocities, cfg.lr, cfg.momentum)
+                sgd_step(params.flat, gather_grads(tensors, grad), velocity, cfg.lr, cfg.momentum)
 
         assert params_equal(got.final_params, params)
 
