@@ -4,8 +4,11 @@ make_node is the one way to record a graph node: it allocates a fresh
 output tensor and keeps a closure that routes the output gradient back
 to its parents with accumulate(), so the recorded graph doubles as the
 tape. Calling backward() on a scalar tensor topologically sorts that
-graph and accumulates gradients into every reachable tensor with
-requires_grad set.
+graph and accumulates gradients into every reachable leaf with
+requires_grad set. It consumes the graph as it goes: each node drops its
+gradient and closure once its backward has run, so the activations a
+closure saved are freed as soon as the pass is done with them, and a
+consumed graph cannot be backpropagated twice.
 
 The model and the losses record fused nodes: the whole extractor MLP is
 one node, each head (matmul, bias, optional reshape, softmax) is one
@@ -70,16 +73,27 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into .grad for all reachable tensors."""
+        """Accumulate d(self)/d(leaf) into .grad of every reachable leaf.
+
+        The graph is consumed on the way: once a recorded node's backward
+        has run, its .grad and its backward closure (with the activations
+        it saved) are released, so only leaves keep .grad. A node keeps
+        its .data and parents, and a node with parents but no backward is
+        consumed: a graph that reaches one cannot be backpropagated again.
+        """
         if self.data.size != 1:
             raise DimensionError(f"backward() needs a scalar root, got shape {self.shape}")
         if not self.requires_grad:
             return
         order = _topo_order(self)
+        if any(node._parents and node._backward is None for node in order):
+            raise RuntimeError("backward() through a graph that an earlier backward() already consumed")
         accumulate(self, np.ones_like(self.data))
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad = node._backward = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

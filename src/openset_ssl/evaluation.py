@@ -2,12 +2,15 @@
 
 predict_open is the package's one no-grad forward: pseudo-inlier
 selection, the anomaly scores and every evaluation metric read its
-result. It forwards SCORE_BLOCK_ROWS rows at a time, so its memory does
-not grow with the input. A sample's verdict is its closed-set label
-unless the predicted class's inlier probability falls strictly below
-0.5, and its anomaly score is the outlier probability 1 - p(inlier |
-predicted class). AUROC is the Mann-Whitney rank statistic with half
-credit for ties, which equals the trapezoidal area under the ROC curve.
+result. It forwards score_block_rows(params) rows at a time: as many as
+keep the widest array a block holds (a hidden layer's activations, or
+the 2K one-vs-all outputs) within SCORE_BLOCK_ELEMENTS, so its memory
+grows neither with the input nor with the layer width. A sample's
+verdict is its closed-set label unless the predicted class's inlier
+probability falls strictly below 0.5, and its anomaly score is the
+outlier probability 1 - p(inlier | predicted class). AUROC is the
+Mann-Whitney rank statistic with half credit for ties, which equals the
+trapezoidal area under the ROC curve.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ from .model import ModelParams, classify_closed, feature_extract, ova_probs
 # Verdict value for samples rejected as outliers; inliers carry their class index.
 OUTLIER = -1
 
-# Rows per predict_open forward; >= 2000 (the selection pool) so that training's calls are one block.
-SCORE_BLOCK_ROWS = 4096
+# Elements of the widest per-block array in predict_open: 4096 rows of the
+# default model's 64-wide layers, so that its calls (a 2000-row selection
+# pool, a 700-row test split) are one block each.
+SCORE_BLOCK_ELEMENTS = 4096 * 64
 
 
 @dataclass
@@ -56,6 +61,13 @@ METRICS_KEY_ORDER = tuple(f.name for f in fields(MetricsRecord))
 _METRICS_TYPES = get_type_hints(MetricsRecord)
 
 
+def score_block_rows(params: ModelParams) -> int:
+    """Rows per predict_open forward: SCORE_BLOCK_ELEMENTS over the widest
+    per-row array a block holds, the hidden widths and the 2K one-vs-all
+    outputs."""
+    return max(1, SCORE_BLOCK_ELEMENTS // max((*params.hidden, 2 * params.k_classes)))
+
+
 def predict_open(params: ModelParams, x: np.ndarray) -> OpenSetPrediction:
     """Closed-set label plus the outlier verdict, on the input as given.
 
@@ -64,9 +76,10 @@ def predict_open(params: ModelParams, x: np.ndarray) -> OpenSetPrediction:
     weights overflow the extractor.
     """
     labels, probs = [], []
-    for start in range(0, max(len(x), 1), SCORE_BLOCK_ROWS):  # an empty x still runs one forward
+    rows = score_block_rows(params)
+    for start in range(0, max(len(x), 1), rows):  # an empty x still runs one forward
         with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
-            features = feature_extract(params, x[start:start + SCORE_BLOCK_ROWS])
+            features = feature_extract(params, x[start:start + rows])
             closed = classify_closed(params, features).data
             ova = ova_probs(params, features).data
         finite = (np.isfinite(features.data).all(axis=1) & np.isfinite(closed).all(axis=1)

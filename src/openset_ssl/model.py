@@ -18,6 +18,8 @@ float64 vector, and each tensor's .data is a view into it.
 from __future__ import annotations
 
 import json
+import math
+import tokenize
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -185,30 +187,52 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     Raises ParseError naming the file when it is not a readable .npz
     archive, its meta entry is malformed, or an array is missing or is
     not float64 of the shape that meta's d_in, hidden and k_classes give.
+    Each array's .npy header is checked before its data is read, so a
+    header that declares a huge shape allocates nothing.
     """
     try:
-        archive = np.load(path, allow_pickle=False)
-        if not isinstance(archive, np.lib.npyio.NpzFile):
-            raise ParseError(f"{path}: not a checkpoint produced by this package")
-        with archive:
+        with zipfile.ZipFile(path) as archive:
             meta = _checkpoint_meta(path, archive)
             arrays = []
             for name, shape in _layout(meta["d_in"], meta["hidden"], meta["k_classes"]).items():
-                if name not in archive.files:
+                if f"{name}.npy" not in archive.namelist():
                     raise ParseError(f"{path}: checkpoint has no array {name!r}")
-                arr = archive[name]
-                if arr.dtype != np.float64 or arr.shape != shape:
-                    raise ParseError(f"{path}: array {name!r} is {arr.dtype} {arr.shape}, "
-                                     f"but its meta implies float64 {shape}")
-                arrays.append(arr)
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as e:
+                arrays.append(_read_npy(path, archive, name, shape))
+    # zipfile raises NotImplementedError for an unknown compression or
+    # version and RuntimeError for a member flagged as encrypted; numpy lets
+    # tokenize's TokenError out of a header whose brackets do not close
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error, NotImplementedError, RuntimeError,
+            tokenize.TokenError) as e:
         raise ParseError(f"{path}: unreadable checkpoint: {e}") from e
     return _from_list(arrays, meta["k_classes"]), meta["config"]
 
 
-def _checkpoint_meta(path, archive) -> dict:
+_NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _read_npy(path, archive: zipfile.ZipFile, name: str, shape: tuple[int, ...] | None) -> np.ndarray:
+    """The array in archive member name.npy, read only once its header
+    declares float64 of the given shape or, for shape None, no more data
+    than the member holds."""
+    info = archive.getinfo(f"{name}.npy")
+    with archive.open(info) as fh:
+        version = np.lib.format.read_magic(fh)
+        if version not in _NPY_HEADER_READERS:
+            raise ParseError(f"{path}: array {name!r} has unsupported .npy version {version}")
+        found_shape, _, dtype = _NPY_HEADER_READERS[version](fh)
+        if shape is None:
+            if min(found_shape, default=0) < 0 or math.prod(found_shape) * dtype.itemsize > info.file_size:
+                raise ParseError(f"{path}: array {name!r} declares {dtype} {found_shape}, "
+                                 f"more than its {info.file_size} bytes hold")
+        elif dtype != np.float64 or found_shape != shape:
+            raise ParseError(f"{path}: array {name!r} is {dtype} {found_shape}, but its meta implies float64 {shape}")
+        fh.seek(0)
+        return np.lib.format.read_array(fh, allow_pickle=False)
+
+
+def _checkpoint_meta(path, archive: zipfile.ZipFile) -> dict:
     try:
-        meta = json.loads(str(archive["meta"]))
+        meta = json.loads(str(_read_npy(path, archive, "meta", None)))
     except (KeyError, json.JSONDecodeError) as e:
         raise ParseError(f"{path}: not a checkpoint produced by this package") from e
     if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:

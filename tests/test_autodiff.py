@@ -239,14 +239,36 @@ class TestGraph:
         with pytest.raises(DimensionError):
             ref.add(t, 1.0).backward()
 
-    def test_all_reachable_tensors_get_grads(self):
+    @staticmethod
+    def consumed_graph():
+        """out = (a*b)^2 after its backward: leaves a, b, interior mid, out."""
         a = Tensor([1.0], requires_grad=True)
         b = Tensor([2.0], requires_grad=True)
         mid = ref.multiply(a, b)
         out = ref.tensor_sum(ref.square(mid))
         out.backward()
-        for t in (a, b, mid, out):
-            assert t.grad is not None
+        return a, b, mid, out
+
+    def test_backward_grads_leaves_and_releases_interior_nodes(self):
+        a, b, mid, out = self.consumed_graph()
+        assert (a.grad[0], b.grad[0]) == (8.0, 4.0)  # 2ab * b, 2ab * a
+        for t in (mid, out):
+            assert t.grad is None and t._backward is None
+            assert t._parents  # data and parents stay
+        assert (mid.data[0], out.data[()]) == (2.0, 4.0)
+
+    def test_second_backward_on_consumed_root_raises(self):
+        a, b, _, out = self.consumed_graph()
+        with pytest.raises(RuntimeError, match="already consumed"):
+            out.backward()
+        assert (a.grad[0], b.grad[0]) == (8.0, 4.0)
+
+    def test_new_root_over_consumed_node_raises(self):
+        a, b, mid, _ = self.consumed_graph()
+        root = ref.tensor_sum(ref.add(mid, a))
+        with pytest.raises(RuntimeError, match="already consumed"):
+            root.backward()
+        assert (a.grad[0], b.grad[0]) == (8.0, 4.0)
 
     def test_no_grad_disables_recording(self):
         a = Tensor([1.0], requires_grad=True)

@@ -95,7 +95,7 @@ def test_two_block_evaluation_forwards_once_per_block(monkeypatch):
     redundant pass over the split on top of the blocks."""
     rng = np.random.default_rng(0)
     params = init_params(3, (8,), 2, rng)
-    n = evaluation.SCORE_BLOCK_ROWS + 1
+    n = evaluation.score_block_rows(params) + 1
     tag = np.arange(n) % 3
     test = data.Split(rng.normal(size=(n, 3)), np.where(tag == data.TAG_INLIER, 0, -1), tag)
     calls = {attr: counting(monkeypatch, evaluation, attr) for attr in FORWARD_PIECES}

@@ -1,13 +1,19 @@
 """Command line flows: config parsing, artifact layout, snapshot
 reproducibility, and exit codes."""
 
+import io
+import re
+import shutil
 import subprocess
 import sys
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from openset_ssl.cli import main, parse_kv_file, resolve_spec, snapshot_text
 from openset_ssl.data import load_csv
@@ -459,6 +465,7 @@ class TestEvalCmd:
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(bad), "--data", str(data), "--out", str(tmp_path / "ev")]) == 2
         assert str(bad) in capsys.readouterr().err
+        assert not (tmp_path / "ev" / "eval.txt").exists()
 
     def test_truncated_checkpoint_exits_2(self, tmp_path, capsys):
         self.eval_broken(tmp_path, capsys, lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]))
@@ -482,6 +489,86 @@ class TestEvalCmd:
             arrays["ova_b"] = arrays["ova_b"][:-1]
 
         self.eval_broken(tmp_path, capsys, lambda p: self.rewrite(p, shorten))
+
+    @pytest.mark.parametrize("shape", ["(99999999999999999999, 3)", "(1099511627776, 3)"],
+                             ids=["overflows_int64", "needs_24_tib"])
+    def test_impossible_header_shape_exits_2(self, tmp_path, capsys, shape):
+        # numpy would raise OverflowError, or MemoryError allocating the array
+        def damage(path):
+            path.write_bytes(rewrite_member(path.read_bytes(), "ext0_w", lambda npy: with_shape_text(npy, shape)))
+
+        self.eval_broken(tmp_path, capsys, damage)
+
+
+def with_shape_text(npy: bytes, shape_text: str) -> bytes:
+    """A version 1.0 .npy file whose header gives shape_text as its shape,
+    re-padded so that the header length field stays true."""
+    length = int.from_bytes(npy[8:10], "little")
+    header = re.sub(r"'shape': \([^)]*\)", lambda _: f"'shape': {shape_text}", npy[10:10 + length].decode("latin1"))
+    header = header.rstrip() + " " * (-(len(header.rstrip()) + 11) % 64) + "\n"
+    return npy[:8] + len(header).to_bytes(2, "little") + header.encode("latin1") + npy[10 + length:]
+
+
+def rewrite_member(archive: bytes, name: str, edit) -> bytes:
+    """The .npz bytes archive with member name.npy replaced by edit(its bytes)."""
+    out = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(archive)) as src, zipfile.ZipFile(out, "w") as dst:
+        for member in src.namelist():
+            content = src.read(member)
+            dst.writestr(member, edit(content) if member == f"{name}.npy" else content)
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint_and_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ckpt_fuzz")
+    save_checkpoint(root / "ckpt.npz", init_params(3, (4,), 2, np.random.default_rng(0)), {"b": 6})
+    (root / "gen.cfg").write_text(GEN_LINES)
+    assert main(["gen-data", "--config", str(root / "gen.cfg"), "--out", str(root / "data.csv")]) == 0
+    return (root / "ckpt.npz").read_bytes(), root / "data.csv"
+
+
+CHECKPOINT_MUTATION = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(min_value=0)),
+    st.tuples(st.just("flip"), st.integers(min_value=0), st.integers(1, 255)),
+    st.tuples(
+        st.just("shape"),
+        st.sampled_from(["meta", "ext0_w", "ext0_b", "closed_w", "closed_b", "ova_w", "ova_b"]),
+        st.one_of(
+            st.lists(st.integers(-2**70, 2**70), max_size=3).map(lambda dims: f"({''.join(f'{d}, ' for d in dims)})"),
+            st.text(alphabet="(),- 0123456789", max_size=30),
+        ),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=CHECKPOINT_MUTATION)
+def test_mutated_checkpoint_exits_0_or_2(small_checkpoint_and_data, tmp_path, capsys, mutation):
+    """A checkpoint truncated, with one byte flipped, or with one member's
+    header shape rewritten: eval either scores it or exits 2 naming it,
+    with no exception out of main and no RuntimeWarning."""
+    good, data = small_checkpoint_and_data
+    kind, *how = mutation
+    if kind == "truncate":
+        bad = good[:how[0] % len(good)]
+    elif kind == "flip":
+        bad = bytearray(good)
+        bad[how[0] % len(good)] ^= how[1]
+    else:
+        bad = rewrite_member(good, how[0], lambda npy: with_shape_text(npy, how[1]))
+    ckpt, out = tmp_path / "fuzz.npz", tmp_path / "ev"
+    ckpt.write_bytes(bytes(bad))
+    shutil.rmtree(out, ignore_errors=True)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    assert (code == 0) == (out / "eval.txt").exists()
+    if code == 2:
+        assert str(ckpt) in err
 
 
 @pytest.mark.parametrize("case", ["data_is_directory", "data_not_utf8", "config_not_utf8", "out_is_file"])

@@ -26,7 +26,6 @@ from openset_ssl.data import (
 from openset_ssl.errors import ConfigError, MetricError, NumericError
 from openset_ssl.evaluation import (
     OUTLIER,
-    SCORE_BLOCK_ROWS,
     MetricsRecord,
     anomaly_scores,
     auroc,
@@ -37,6 +36,7 @@ from openset_ssl.evaluation import (
     parse_metrics_line,
     predict_open,
     read_metrics,
+    score_block_rows,
     write_metrics,
 )
 from openset_ssl.model import init_params, save_checkpoint
@@ -302,13 +302,22 @@ def test_one_pass_equals_per_population_scoring(d_in, hidden):
 
 
 class TestBlockedScoring:
-    """predict_open forwards SCORE_BLOCK_ROWS rows at a time; the reference
-    is one forward over the whole array through the model's own pieces."""
+    """predict_open forwards score_block_rows(params) rows at a time; the
+    reference is one forward over the whole array through the model's own
+    pieces."""
+
+    def test_block_rows_follow_the_widest_layer(self):
+        assert score_block_rows(init_params(8, (64, 64), 4, np.random.default_rng(0))) == 4096
+        ds = gen_synthetic(GenConfig(d_in=32), 0)  # the wide shapes of the benchmark's train_wide
+        wide = init_params(ds.d_in, (256, 256), ds.k_classes, np.random.default_rng(0))
+        assert score_block_rows(wide) <= 1024
+        pool = ds.train_view().unlabeled_x
+        assert -(-len(pool) // score_block_rows(wide)) == 2  # selection scores the pool in two blocks
 
     @pytest.mark.parametrize("d_in,hidden", [(8, (64, 64)), (32, (256, 256))], ids=["default", "wide"])
     def test_blocks_equal_one_whole_array_forward(self, d_in, hidden):
         params = init_params(d_in, hidden, 4, np.random.default_rng(1))
-        x = 3.0 * np.random.default_rng(2).normal(size=(2 * SCORE_BLOCK_ROWS + 17, d_in))
+        x = 3.0 * np.random.default_rng(2).normal(size=(2 * score_block_rows(params) + 17, d_in))
         prediction = predict_open(params, x)
         label, inlier_prob = whole_forward(params, x)
         assert np.array_equal(prediction.closed_label, label)
@@ -319,8 +328,8 @@ class TestBlockedScoring:
     def test_nonfinite_row_in_second_block_named_by_global_index(self):
         params = init_params(2, (4,), 2, np.random.default_rng(5))
         params.extractor[0][0].data[...] = 1.0
-        x = np.random.default_rng(6).normal(size=(2 * SCORE_BLOCK_ROWS, 2))
-        row = SCORE_BLOCK_ROWS + 5
+        x = np.random.default_rng(6).normal(size=(2 * score_block_rows(params), 2))
+        row = score_block_rows(params) + 5
         x[row] = 1e308
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -337,9 +346,9 @@ class TestBlockedScoring:
 
     def test_eval_cmd_over_several_blocks(self, tmp_path):
         ds = gen_synthetic(GenConfig(test_per_class=1200, test_per_outlier=1200), 0)
-        assert len(ds.test) > 2 * SCORE_BLOCK_ROWS
-        save_csv(ds, tmp_path / "data.csv")
         params = init_params(ds.d_in, (64, 64), ds.k_classes, np.random.default_rng(3))
+        assert len(ds.test) > 2 * score_block_rows(params)
+        save_csv(ds, tmp_path / "data.csv")
         save_checkpoint(tmp_path / "ckpt.npz", params)
         assert main(["eval", "--checkpoint", str(tmp_path / "ckpt.npz"), "--data", str(tmp_path / "data.csv"),
                      "--out", str(tmp_path / "ev")]) == 0

@@ -170,24 +170,43 @@ def test_input_gradient_when_requested():
     assert np.array_equal(grads_at_x[0], grads_at_x[1])
 
 
-def test_nodes_per_step():
-    def count(root):
-        seen, stack = {id(root)}, [root]
-        while stack:
-            for parent in stack.pop()._parents:
-                if id(parent) not in seen:
-                    seen.add(id(parent))
-                    stack.append(parent)
-        return len(seen)
+def reachable(root):
+    """The tensors reachable from root through _parents, root included."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
 
+
+def test_nodes_per_step():
     params, x, y, u, i_batch = setup((64, 64))
     cfg = config(params, i_batch)
     # 8 parameter leaves; an extractor and a head node per recorded pass (5 in
     # warmup, 6 in self-training); one node per loss term; one weighted-sum node
     warmup, _ = loss_all(params, x, y, u, i_batch, cfg, np.random.default_rng(5), 1)
-    assert count(warmup) == 8 + 2 * 5 + 4 + 1 == 23
+    assert len(reachable(warmup)) == 8 + 2 * 5 + 4 + 1 == 23
     selftrain, bd = loss_all(params, x, y, u, i_batch, cfg, np.random.default_rng(5), 2)
-    assert bd.fm_mask_count > 0 and count(selftrain) == 8 + 2 * 6 + 5 + 1 == 26
+    assert bd.fm_mask_count > 0 and len(reachable(selftrain)) == 8 + 2 * 6 + 5 + 1 == 26
+
+
+@pytest.mark.parametrize("epoch", [1, 2], ids=["warmup", "selftrain"])
+def test_backward_releases_every_interior_node(epoch):
+    """At wide shapes, one backward leaves no interior node holding a
+    gradient or its backward closure (and the activations that holds);
+    the parameter leaves hold their gradients."""
+    params, x, y, u, i_batch = setup((256, 256), b=256)
+    cfg = config(params, i_batch)
+    total, bd = loss_all(params, x, y, u, i_batch, cfg, np.random.default_rng(5), epoch)
+    assert epoch == 1 or bd.fm_mask_count > 0
+    total.backward()
+    nodes = reachable(total)
+    interior = [t for t in nodes if t._parents]
+    assert len(interior) == len(nodes) - 8 == (15 if epoch == 1 else 18)
+    assert all(t.grad is None and t._backward is None for t in interior)
+    assert all(t.grad is not None for t in params.parameters())
 
 
 def test_short_run_parameters_pinned():
