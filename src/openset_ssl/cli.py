@@ -282,11 +282,11 @@ def cmd_eval(args) -> int:
     params, _ = load_checkpoint(args.checkpoint)
     dataset = load_csv(args.data)
     if dataset.d_in != params.d_in:
-        raise ConfigError(f"dimension mismatch: checkpoint expects d_in={params.d_in}, data has {dataset.d_in}")
+        raise ConfigError(f"{args.data}: dimension mismatch: checkpoint expects d_in={params.d_in}, "
+                          f"data has {dataset.d_in}")
     if dataset.k_classes != params.k_classes:
-        raise ConfigError(
-            f"class count mismatch: checkpoint expects k={params.k_classes}, data has {dataset.k_classes}"
-        )
+        raise ConfigError(f"{args.data}: class count mismatch: checkpoint expects k={params.k_classes}, "
+                          f"data has {dataset.k_classes}")
     try:
         result = evaluate_params(params, dataset.test)
     except (MetricError, NumericError) as e:  # bad test rows are a data problem here

@@ -11,6 +11,10 @@ The CSV is written one f-string per row (the bytes csv.writer gives) and
 read with one np.loadtxt call; a file that call does not take goes through
 a csv.reader row walk, which decides and names path:line for a bad row,
 the physical line the row starts on (a quoted field may span lines).
+The bulk reader checks the body a chunk of lines at a time: one scan of
+the chunk's text for quotes and controls, one comma count for all its
+lines, and, for a chunk whose lines share one role,label,tag head (rows
+come in such runs), one parse of that head.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -257,6 +262,7 @@ def sample_batches(
 
 
 ROLE_NAMES = ("labeled", "unlabeled", "test")
+CHUNK_CHARS = 1 << 13  # readlines() hint; 64 KB chunks were no faster and held more memory
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -298,24 +304,40 @@ def _read_header(fh, path) -> tuple[list[str], int]:
 
 
 def _bulk_splits(fh, d_in: int) -> list[Split] | None:
-    """Parse the rows after the header with one np.loadtxt call. None when
-    a line is not a plain row (wrong comma count, a quote or a 0x1c-0x1f
-    control, unknown role or tag, a label int() rejects), loadtxt declines
-    it or a feature is not finite: the row walk then decides."""
+    """Parse the rows after the header with one np.loadtxt call, fed a
+    chunk of lines (CHUNK_CHARS) at a time. None when a line is not a
+    plain row (a quote or a 0x1c-0x1f control, a comma count other than
+    2 + d, unknown role or tag, a label int() rejects), loadtxt declines
+    it or a feature is not finite: the row walk then decides.
+
+    A chunk's total comma count stands in for each line's: usecols makes
+    loadtxt refuse a row with too few fields, so with the total right no
+    row has too many."""
     roles, labels, tags = array("q"), array("q"), array("q")
     role_codes = {name: code for code, name in enumerate(ROLE_NAMES)}
 
     def lines():
-        for line in fh:
+        while chunk := fh.readlines(CHUNK_CHARS):
+            text = "".join(chunk)
             # a quote starts csv quoting; loadtxt strips 0x1c-0x1f around a float, float() does not
-            if (line.count(",") != 2 + d_in or '"' in line
-                    or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line):
+            if (text.count(",") != (2 + d_in) * len(chunk) or '"' in text
+                    or "\x1c" in text or "\x1d" in text or "\x1e" in text or "\x1f" in text):
                 raise ValueError("not a plain row")
-            role, label, tag, _ = line.split(",", 3)
-            roles.append(role_codes[role])
-            tags.append(TAG_CODES[tag])
-            labels.append(int(label))
-            yield line
+            role, label, tag, _ = chunk[0].split(",", 3)
+            # rows come in runs of one head, as save_csv writes them; a "\n" ends a line,
+            # so this counts the later lines that start with the first line's head
+            if text.count(f"\n{role},{label},{tag},") == len(chunk) - 1:
+                roles.extend(repeat(role_codes[role], len(chunk)))
+                tags.extend(repeat(TAG_CODES[tag], len(chunk)))
+                labels.extend(repeat(int(label), len(chunk)))
+            else:
+                for line in chunk:
+                    role, label, tag, _ = line.split(",", 3)
+                    roles.append(role_codes[role])
+                    tags.append(TAG_CODES[tag])
+                    labels.append(int(label))
+            del text  # before loadtxt parses the chunk: one chunk's text is alive at a time
+            yield from chunk
 
     try:
         with warnings.catch_warnings():

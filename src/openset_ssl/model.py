@@ -213,21 +213,27 @@ _NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.l
 def _read_npy(path, archive: zipfile.ZipFile, name: str, shape: tuple[int, ...] | None) -> np.ndarray:
     """The array in archive member name.npy, read only once its header
     declares float64 of the given shape or, for shape None, no more data
-    than the member holds."""
+    than the member holds. The data is the prod(shape) * itemsize bytes
+    that follow the header, in the order its fortran_order flag gives."""
     info = archive.getinfo(f"{name}.npy")
     with archive.open(info) as fh:
         version = np.lib.format.read_magic(fh)
         if version not in _NPY_HEADER_READERS:
             raise ParseError(f"{path}: array {name!r} has unsupported .npy version {version}")
-        found_shape, _, dtype = _NPY_HEADER_READERS[version](fh)
+        found_shape, fortran_order, dtype = _NPY_HEADER_READERS[version](fh)
+        size = math.prod(found_shape) * dtype.itemsize
         if shape is None:
-            if min(found_shape, default=0) < 0 or math.prod(found_shape) * dtype.itemsize > info.file_size:
+            if min(found_shape, default=0) < 0 or size > info.file_size:
                 raise ParseError(f"{path}: array {name!r} declares {dtype} {found_shape}, "
                                  f"more than its {info.file_size} bytes hold")
         elif dtype != np.float64 or found_shape != shape:
             raise ParseError(f"{path}: array {name!r} is {dtype} {found_shape}, but its meta implies float64 {shape}")
-        fh.seek(0)
-        return np.lib.format.read_array(fh, allow_pickle=False)
+        data = fh.read(size)
+    if len(data) != size:
+        raise ParseError(f"{path}: array {name!r} holds {len(data)} of its {size} data bytes")
+    if fortran_order:
+        return np.frombuffer(data, dtype=dtype).reshape(found_shape[::-1]).T
+    return np.frombuffer(data, dtype=dtype).reshape(found_shape)
 
 
 def _checkpoint_meta(path, archive: zipfile.ZipFile) -> dict:

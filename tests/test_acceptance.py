@@ -8,13 +8,18 @@ grain; this file is the contract.
 Benchmark-dependent checks (the SOCR ablation, the full-pipeline run,
 and the head-variant comparison) share one set of trainings through a
 module-scoped fixture so the scorecard stays inside its time budgets.
+The fixture runs those twelve independent trainings in two worker
+processes, one BLAS thread each, so that both cores train.
 """
 
 import hashlib
 import math
+import multiprocessing
+import os
 import time
-from dataclasses import replace
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,10 +54,22 @@ from openset_ssl.trainer import TrainConfig, train
 BENCH_GEN_SEED = 0
 BENCH_SEEDS = (0, 1, 2)
 
-
-@pytest.fixture(scope="module")
-def bench_dataset():
-    return gen_synthetic(GenConfig(), seed=BENCH_GEN_SEED)
+# The twelve benchmark trainings as (group, seed, TrainConfig overrides),
+# longest first so that the two workers finish close together: the full
+# pipeline, consistency on the closed head, and the SOCR ablation with the
+# consistency term on and off, all but the first with pseudo-labeling off.
+BENCH_TRAININGS = tuple(
+    (group, seed, overrides)
+    for group, overrides in (
+        ("full", {}),
+        ("closed", {"lam_fm": 0.0, "socr_head": "closed"}),
+        ("with", {"lam_fm": 0.0}),
+        ("without", {"lam_fm": 0.0, "lam_oc": 0.0}),
+    )
+    for seed in BENCH_SEEDS
+)
+BENCH_WORKERS = 2
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Small data for the gating and persistence checks; benchmark scale is
 # irrelevant there and these keep the scorecard fast.
@@ -237,18 +254,38 @@ def test_candidate_warmup_gating():
     assert 3 * per_epoch <= first_diff < 4 * per_epoch
 
 
+def _bench_training(job):
+    """One of BENCH_TRAININGS, run in a worker: the job, its final
+    auroc_seen and, for the full pipeline, the test-split evaluation. A
+    RuntimeWarning is an error here as it is in the test process."""
+    group, seed, overrides = job
+    dataset = gen_synthetic(GenConfig(), seed=BENCH_GEN_SEED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        history = train(dataset, TrainConfig(seed=seed, eval_every=30, **overrides))
+        result = evaluate_params(history.final_params, dataset.test) if group == "full" else None
+    return job, history.records[-1].auroc_seen, result
+
+
 @pytest.fixture(scope="module")
-def socr_ablation_runs(bench_dataset):
-    """The six ablation trainings shared by the SOCR and head-variant
-    checks: pseudo-labeling off, OVA-head consistency on versus off."""
-    out = {"without": {}, "with": {}, "elapsed": 0.0}
+def bench_trainings():
+    """BENCH_TRAININGS on BENCH_WORKERS processes. Returns (group, seed) ->
+    (auroc_seen, evaluation or None), and group -> the seconds from the
+    start until the group's last training finished, which bounds the wall
+    time of that group's trainings."""
     t0 = time.perf_counter()
-    for seed in BENCH_SEEDS:
-        base = TrainConfig(seed=seed, lam_fm=0.0, eval_every=30)
-        out["without"][seed] = train(bench_dataset, replace(base, lam_oc=0.0)).records[-1].auroc_seen
-        out["with"][seed] = train(bench_dataset, base).records[-1].auroc_seen
-    out["elapsed"] = time.perf_counter() - t0
-    return out
+    # the workers start with this environment, so numpy loads there with one BLAS thread;
+    # spawn, not fork: forking a process whose BLAS threads run is unsafe
+    with mock.patch.dict(os.environ, dict.fromkeys(BLAS_THREAD_VARS, "1")):
+        pool = multiprocessing.get_context("spawn").Pool(BENCH_WORKERS)
+    runs, done = {}, {}
+    with pool:
+        results = pool.imap_unordered(_bench_training, BENCH_TRAININGS)
+        for _ in BENCH_TRAININGS:
+            (group, seed, _), auroc_seen, result = results.next(timeout=300.0)
+            runs[group, seed] = auroc_seen, result
+            done[group] = time.perf_counter() - t0
+    return runs, done
 
 
 def test_benchmark_shape_is_pinned():
@@ -267,33 +304,27 @@ def test_benchmark_shape_is_pinned():
     assert (cfg.e_fix, cfg.lr, cfg.momentum, cfg.hidden) == (10, 0.03, 0.9, (64, 64))
 
 
-def test_consistency_term_improves_detection(socr_ablation_runs):
+def test_consistency_term_improves_detection(bench_trainings):
     """With pseudo-labeling disabled, adding the consistency term lifts
     seen-outlier AUROC by at least 3 absolute points, averaged over the
     benchmark seeds."""
-    runs = socr_ablation_runs
-    deltas = [runs["with"][s] - runs["without"][s] for s in BENCH_SEEDS]
+    runs, done = bench_trainings
+    deltas = [runs["with", s][0] - runs["without", s][0] for s in BENCH_SEEDS]
     mean_delta = float(np.mean(deltas))
     detail = ", ".join(
-        f"seed {s}: {runs['without'][s]:.3f} -> {runs['with'][s]:.3f}" for s in BENCH_SEEDS
+        f"seed {s}: {runs['without', s][0]:.3f} -> {runs['with', s][0]:.3f}" for s in BENCH_SEEDS
     )
     assert mean_delta >= 0.03, f"mean delta {mean_delta:+.4f} ({detail})"
-    assert runs["elapsed"] < 300.0
+    assert max(done["with"], done["without"]) < 300.0
 
 
-def test_full_pipeline_separates_outliers(bench_dataset, tmp_path):
+def test_full_pipeline_separates_outliers(bench_trainings, tmp_path):
     """The full default run reaches seen-outlier AUROC >= 0.90 with inlier
     error <= 10% on every benchmark seed, and the exported score histogram
     puts more inlier than outlier mass below 0.5."""
-    t0 = time.perf_counter()
-    results = {}
-    final = None
-    for seed in BENCH_SEEDS:
-        history = train(bench_dataset, TrainConfig(seed=seed, eval_every=30))
-        result = evaluate_params(history.final_params, bench_dataset.test)
-        results[seed] = result
-        final = result
-    elapsed = time.perf_counter() - t0
+    runs, done = bench_trainings
+    results = {seed: runs["full", seed][1] for seed in BENCH_SEEDS}
+    final = results[BENCH_SEEDS[-1]]
 
     for seed, result in results.items():
         assert result.auroc_seen >= 0.90, f"seed {seed}: auroc_seen {result.auroc_seen:.3f}"
@@ -307,18 +338,15 @@ def test_full_pipeline_separates_outliers(bench_dataset, tmp_path):
     inlier_total = sum(int(r[2]) for r in rows)
     outlier_total = sum(int(r[3]) for r in rows)
     assert inlier_low / inlier_total > outlier_low / outlier_total
-    assert elapsed < 180.0
+    assert done["full"] < 180.0
 
 
-def test_ova_head_consistency_beats_closed_head(bench_dataset, socr_ablation_runs):
+def test_ova_head_consistency_beats_closed_head(bench_trainings):
     """Consistency on the OVA heads detects at least as well, on average,
     as the same term applied to the closed-set softmax."""
-    closed = {}
-    for seed in BENCH_SEEDS:
-        cfg = TrainConfig(seed=seed, lam_fm=0.0, socr_head="closed", eval_every=30)
-        closed[seed] = train(bench_dataset, cfg).records[-1].auroc_seen
-    ova_mean = float(np.mean([socr_ablation_runs["with"][s] for s in BENCH_SEEDS]))
-    closed_mean = float(np.mean([closed[s] for s in BENCH_SEEDS]))
+    runs, _ = bench_trainings
+    ova_mean = float(np.mean([runs["with", s][0] for s in BENCH_SEEDS]))
+    closed_mean = float(np.mean([runs["closed", s][0] for s in BENCH_SEEDS]))
     assert ova_mean >= closed_mean, f"ova {ova_mean:.4f} vs closed {closed_mean:.4f}"
 
 

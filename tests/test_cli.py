@@ -20,6 +20,7 @@ from openset_ssl.data import load_csv
 from openset_ssl.errors import ConfigError, ParseError
 from openset_ssl.evaluation import read_metrics
 from openset_ssl.model import init_params, load_checkpoint, save_checkpoint
+from test_csv import MUTATION, mutate
 
 GEN_LINES = """\
 gen_k_classes = 2
@@ -384,15 +385,16 @@ class TestEvalCmd:
         code = main(["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "k3.csv"),
                      "--out", str(tmp_path / "ev")])
         assert code == 2
-        assert "class count mismatch" in capsys.readouterr().err
+        assert f"{tmp_path / 'k3.csv'}: class count mismatch" in capsys.readouterr().err
 
-    def test_dimension_mismatch_exits_2(self, tmp_path):
+    def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
         ckpt, _ = self.trained(tmp_path)
         gen_cfg = tmp_path / "gen_d4.cfg"
         gen_cfg.write_text(GEN_LINES.replace("gen_d_in = 3", "gen_d_in = 4"))
         main(["gen-data", "--config", str(gen_cfg), "--out", str(tmp_path / "d4.csv")])
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "d4.csv"),
                      "--out", str(tmp_path / "ev")]) == 2
+        assert f"{tmp_path / 'd4.csv'}: dimension mismatch" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_2(self, tmp_path):
         _, data = self.trained(tmp_path)
@@ -569,6 +571,36 @@ def test_mutated_checkpoint_exits_0_or_2(small_checkpoint_and_data, tmp_path, ca
     assert (code == 0) == (out / "eval.txt").exists()
     if code == 2:
         assert str(ckpt) in err
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint_and_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("csv_fuzz")
+    ckpt, data = TestEvalCmd.trained(root)
+    return ckpt, data.read_bytes()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutations=st.lists(MUTATION, min_size=1, max_size=4))
+def test_mutated_csv_exits_0_or_2(trained_checkpoint_and_data, tmp_path, capsys, mutations):
+    """A dataset CSV with bytes inserted or deleted, cut short, or a line
+    repeated or dropped: eval either scores it or exits 2 naming it, with
+    no exception out of main and no RuntimeWarning."""
+    ckpt, text = trained_checkpoint_and_data
+    for mutation in mutations:
+        text = mutate(text, mutation)
+    data, out = tmp_path / "fuzz.csv", tmp_path / "ev"
+    data.write_bytes(text)
+    shutil.rmtree(out, ignore_errors=True)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    assert (code == 0) == (out / "eval.txt").exists()
+    if code == 2:
+        assert str(data) in err
 
 
 @pytest.mark.parametrize("case", ["data_is_directory", "data_not_utf8", "config_not_utf8", "out_is_file"])

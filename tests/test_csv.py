@@ -143,18 +143,109 @@ def test_named_case_rejected_as_reference(tmp_path, name, text, message):
     assert kind == "ParseError" and got.endswith(message)
 
 
-def test_plain_file_takes_the_bulk_path(tmp_path, monkeypatch):
+def test_plain_file_takes_the_bulk_path(tmp_path, monkeypatch, many_lines):
     def no_walk(path):
         raise AssertionError("row walk used")
 
     path = tmp_path / "data.csv"
     ds = gen_synthetic(TINY, seed=1)
     save_csv(ds, path)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_bytes(b"".join(shuffle_rows(many_lines)))
+    want = outcome(reference_csv.load_csv, shuffled)
     monkeypatch.setattr(data, "_walk_rows", no_walk)
     assert load_csv(path) == ds
+    assert outcome(load_csv, shuffled) == want
     path.write_text(path.read_text().replace(",inlier,", ',"inlier",', 1))
     with pytest.raises(AssertionError, match="row walk used"):
         load_csv(path)
+
+
+# Several thousand rows of four features: the bulk reader takes them in
+# several chunks of data.CHUNK_CHARS characters.
+MANY = GenConfig(d_in=4, train_per_class=300, labels_per_class=50, unlabeled_per_outlier=300,
+                 test_per_class=400, test_per_outlier=400)
+
+
+@pytest.fixture(scope="module")
+def many_lines(tmp_path_factory):
+    """The lines of MANY's CSV as save_csv writes it: rows in runs that
+    share role, label and tag."""
+    path = tmp_path_factory.mktemp("many") / "many.csv"
+    save_csv(gen_synthetic(MANY, seed=2), path)
+    return path.read_bytes().splitlines(keepends=True)
+
+
+def shuffle_rows(lines):
+    body = lines[1:]
+    np.random.default_rng(0).shuffle(body)
+    return lines[:1] + body
+
+
+def chunk_heads(path):
+    """For each chunk the bulk reader takes, how many role,label,tag heads its lines have."""
+    with open(path, newline="") as fh:
+        fh.readline()
+        heads = []
+        while chunk := fh.readlines(data.CHUNK_CHARS):
+            heads.append(len({tuple(line.split(",", 3)[:3]) for line in chunk}))
+    return heads
+
+
+@pytest.mark.parametrize("order", ["grouped", "shuffled"])
+def test_many_chunks_load_as_reference(tmp_path, many_lines, order):
+    path = tmp_path / "many.csv"
+    path.write_bytes(b"".join(many_lines if order == "grouped" else shuffle_rows(many_lines)))
+    heads = chunk_heads(path)
+    assert len(heads) >= 5
+    if order == "grouped":  # runs of one head, and run boundaries inside chunks
+        assert 1 in heads and max(heads) > 1
+    else:
+        assert min(heads) > 1
+    assert assert_same_outcome(path)[:2] == (4, 4)
+
+
+def set_field(line: bytes, i: int, value: bytes) -> bytes:
+    fields = line.rstrip(b"\r\n").split(b",")
+    fields[i] = value
+    return b",".join(fields) + b"\r\n"
+
+
+# name, {row: edit of that line}, the end of the message it is rejected with or None if it loads.
+# Rows 3500 and 3501 lie inside a chunk whose lines are all test,-1,seen_outlier rows.
+MANY_EDITS = [
+    ("head_changes_inside_a_run", {3500: lambda s: s.replace(b",seen_", b",unseen_")}, None),
+    ("role_changes_inside_a_run", {3500: lambda s: s.replace(b"test,", b"unlabeled,")}, None),
+    ("label_spelled_differently", {3500: lambda s: s.replace(b",-1,", b",-01,")}, None),
+    # the chunk's comma total is right, but one row is a field short
+    ("extra_then_missing_field", {3500: lambda s: s.replace(b"\r\n", b",0.5\r\n"),
+                                  3501: lambda s: s[:s.rindex(b",")] + b"\r\n"},
+     "many.csv:3501: expected 7 fields, got 8"),
+    ("missing_then_extra_field", {3500: lambda s: s[:s.rindex(b",")] + b"\r\n",
+                                  3501: lambda s: s.replace(b"\r\n", b",0.5\r\n")},
+     "many.csv:3501: expected 7 fields, got 6"),
+    ("blank_line_then_six_commas", {3500: lambda s: b"\r\n", 3501: lambda s: s.replace(b"\r\n", b",,,,,,\r\n")},
+     "many.csv:3501: expected 7 fields, got 0"),
+    ("bad_float_in_a_late_chunk", {4500: lambda s: set_field(s, 5, b"x")},
+     "many.csv:4501: could not convert string to float: 'x'"),
+    ("nonfinite_in_a_late_chunk", {4500: lambda s: set_field(s, 6, b"nan")},
+     "many.csv:4501: feature f3 is 'nan'; features must be finite"),
+]
+
+
+@pytest.mark.parametrize("name,edits,message", MANY_EDITS, ids=[c[0] for c in MANY_EDITS])
+def test_many_chunks_edited_as_reference(tmp_path, many_lines, name, edits, message):
+    lines = list(many_lines)
+    assert all(line.startswith(b"test,-1,seen_outlier,") for line in lines[3450:3550])
+    for row, edit in edits.items():
+        lines[row] = edit(lines[row])
+    path = tmp_path / "many.csv"
+    path.write_bytes(b"".join(lines))
+    got = assert_same_outcome(path)
+    if message is None:
+        assert got[:2] == (4, 4)
+    else:
+        assert got[0] == "ParseError" and got[1].endswith(message)
 
 
 TOKENS = [b",", b'"', b"\r\n", b"\n", b"\r", b"#", b"_", b" ", b"\t", b".", b"-", b"+", b"e", b"0", b"7",
@@ -185,6 +276,17 @@ def mutate(text: bytes, mutation) -> bytes:
 @given(st.lists(MUTATION, min_size=1, max_size=4))
 def test_mutated_text_same_outcome_as_reference(tmp_path, mutations):
     text = BASE.encode()
+    for mutation in mutations:
+        text = mutate(text, mutation)
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(text)
+    assert_same_outcome(path)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(MUTATION, min_size=1, max_size=3), st.booleans())
+def test_mutated_many_chunks_same_outcome_as_reference(tmp_path, many_lines, mutations, shuffled):
+    text = b"".join(shuffle_rows(many_lines) if shuffled else many_lines)
     for mutation in mutations:
         text = mutate(text, mutation)
     path = tmp_path / "fuzz.csv"

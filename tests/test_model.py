@@ -2,7 +2,9 @@
 outlier verdict rule, and checkpoint persistence."""
 
 import hashlib
+import io
 import math
+import re
 import zipfile
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_ops as ref
+from test_cli import rewrite_member
 from openset_ssl.errors import DimensionError, ParseError
 from openset_ssl.evaluation import OUTLIER, predict_open
 from openset_ssl.model import (
@@ -211,6 +214,31 @@ class TestCheckpoint:
         path = tmp_path / "other.npz"
         np.savez(path, stuff=np.ones(3))
         with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    @staticmethod
+    def npy_bytes(a) -> bytes:
+        buf = io.BytesIO()
+        np.lib.format.write_array(buf, a)
+        return buf.getvalue()
+
+    def test_fortran_order_member_loads_the_same_values(self, tmp_path):
+        params = init_params(3, (5,), 2, np.random.default_rng(13))
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, params)
+        npy = self.npy_bytes(np.asfortranarray(params.extractor[0][0].data))
+        assert b"'fortran_order': True" in npy
+        path.write_bytes(rewrite_member(path.read_bytes(), "ext0_w", lambda _: npy))
+        loaded, _ = load_checkpoint(path)
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+
+    def test_short_member_names_the_file(self, tmp_path):
+        params = init_params(3, (5,), 2, np.random.default_rng(14))
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, params)
+        short = self.npy_bytes(params.extractor[0][0].data)[:-8]
+        path.write_bytes(rewrite_member(path.read_bytes(), "ext0_w", lambda _: short))
+        with pytest.raises(ParseError, match=re.escape(f"{path}: array 'ext0_w' holds 112 of its 120 data bytes")):
             load_checkpoint(path)
 
     def test_loaded_params_are_trainable(self, tmp_path):
