@@ -7,7 +7,7 @@ consistency, pseudo-label self-training), plus data generation,
 evaluation, and a CLI.
 """
 
-from .autodiff import Tensor, grad_check, no_grad
+from .autodiff import Tensor, no_grad
 from .data import AugmentConfig, Dataset, GenConfig, Split, augment_strong, augment_weak, gen_synthetic, load_csv, save_csv
 from .errors import (
     ConfigError,
@@ -29,7 +29,6 @@ from .evaluation import (
     evaluate_params,
     export_histogram,
     predict_open,
-    read_metrics,
     write_metrics,
 )
 from .losses import LossBreakdown, loss_all, loss_cls, loss_em, loss_fixmatch, loss_ova, loss_socr

@@ -26,11 +26,11 @@ reference.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
+from .errors import DimensionError
 
 # Probabilities below this are clamped before log() so losses stay finite.
 LOG_EPS = 1e-12
@@ -188,37 +188,3 @@ def neg_log_pick(probs: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, Call
         return buf
 
     return np.log(clamped) * -1.0, backward
-
-
-def grad_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1e-5) -> float:
-    """Compare analytic gradients of loss_fn against central differences.
-
-    Returns max over parameter entries of |analytic - numeric| / max(1, |numeric|).
-    loss_fn must be deterministic: any stochastic augmentation inside it
-    has to be re-seeded on every call.
-    """
-    for p in params:
-        p.zero_grad()
-    loss = loss_fn()
-    if loss.data.size != 1 or not np.isfinite(loss.data):
-        raise NumericError("grad_check needs a finite scalar loss")
-    loss.backward()
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-
-    worst = 0.0
-    for p, a in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        a_flat = a.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = loss_fn().data.item()
-            flat[i] = orig - eps
-            down = loss_fn().data.item()
-            flat[i] = orig
-            if not (np.isfinite(up) and np.isfinite(down)):
-                raise NumericError("non-finite loss during finite differencing")
-            numeric = (up - down) / (2.0 * eps)
-            rel = abs(a_flat[i] - numeric) / max(1.0, abs(numeric))
-            worst = max(worst, rel)
-    return worst

@@ -7,10 +7,14 @@ evaluation. The trainer works through train_view(), which exposes labeled
 vectors with labels and unlabeled vectors without their tags.
 gen_synthetic draws all three splits from one table with a row per cluster.
 
-The CSV is written one f-string per row (the bytes csv.writer gives) and
-read with one np.loadtxt call; a file that call does not take goes through
-a csv.reader row walk, which decides and names path:line for a bad row,
-the physical line the row starts on (a quoted field may span lines).
+The CSV is written one f-string per row (the bytes csv.writer gives), on
+two cores where os.fork exists: a forked child formats the second half of
+the rows into an anonymous temp file that is appended to the first half,
+so the output has the same bytes as a one-process write and the child's
+memory is not in this process's ru_maxrss. It is read with one
+np.loadtxt call; a file that call does not take goes through a csv.reader
+row walk, which decides and names path:line for a bad row, the physical
+line the row starts on (a quoted field may span lines).
 The bulk reader checks the body a chunk of lines at a time: one scan of
 the chunk's text for quotes and controls, one comma count for all its
 lines, and, for a chunk whose lines share one role,label,tag head (rows
@@ -21,10 +25,12 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import shutil
+import tempfile
 import warnings
 from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -265,17 +271,77 @@ ROLE_NAMES = ("labeled", "unlabeled", "test")
 CHUNK_CHARS = 1 << 13  # readlines() hint; 64 KB chunks were no faster and held more memory
 
 
+def _write_rows(fh, splits, start: int, stop: int) -> None:
+    """Write body rows start..stop-1, counted across the splits in
+    ROLE_NAMES order, one f-string per row."""
+    for role, split in zip(ROLE_NAMES, splits):
+        lo, hi = max(start, 0), min(stop, len(split))
+        if lo < hi:
+            fh.writelines(
+                f"{role},{y},{TAG_NAMES[t]},{','.join(map(repr, row.tolist()))}\r\n"
+                for y, t, row in zip(split.y[lo:hi].tolist(), split.tag[lo:hi].tolist(),
+                                     np.asarray(split.x, dtype=np.float64)[lo:hi])
+            )
+        start, stop = start - len(split), stop - len(split)
+
+
+def _write_halves(fh, splits, n: int, path) -> None:
+    """Write body rows 0..n-1 into fh on two cores: a forked child formats
+    the second half into an anonymous temp file while this process formats
+    the first half into fh; then the child is reaped and its file appended
+    in buffer-sized copies."""
+    half = n // 2
+    with tempfile.TemporaryFile("w+", newline="", encoding=fh.encoding) as tmp:
+        pid = os.fork()
+        if pid == 0:
+            # the child leaves only through os._exit: it flushes none of the
+            # stdio buffers it inherited and runs none of the caller's finally
+            # or atexit code. It only formats text, so it needs nothing that
+            # a BLAS thread of this process could hold at the fork.
+            code = 1
+            try:
+                _write_rows(tmp, splits, half, n)
+                tmp.flush()
+                code = 0
+            finally:
+                os._exit(code)
+        try:
+            _write_rows(fh, splits, 0, half)
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        if status != 0:
+            raise OSError(f"{path}: the process writing rows {half + 1}..{n} failed "
+                          f"(exit status {os.waitstatus_to_exitcode(status)})")
+        fh.flush()
+        tmp.seek(0)
+        shutil.copyfileobj(tmp.buffer, fh.buffer)
+
+
 def save_csv(ds: Dataset, path) -> None:
     """Write rows as role,label,tag,f0..f{d-1} with CRLF line ends, the
     bytes csv.writer gives (no field ever needs quoting); floats use repr
-    so the text round-trips to the identical float64 values."""
+    so the text round-trips to the identical float64 values.
+
+    The body is written on two cores where os.fork exists: a forked child
+    formats the second half of the rows (counted across the splits) into
+    an anonymous temp file, which is appended to the first half, so the
+    file has the same bytes as a one-process write and the child's memory
+    is not in this process's ru_maxrss. If writing fails, a regular output
+    file is removed: the first half ends on a row boundary and would load
+    as a shorter dataset."""
+    splits = (ds.labeled, ds.unlabeled, ds.test)
+    n = sum(map(len, splits))
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(["role", "label", "tag"] + [f"f{i}" for i in range(ds.d_in)]) + "\r\n")
-        for role, split in zip(ROLE_NAMES, (ds.labeled, ds.unlabeled, ds.test)):
-            fh.writelines(
-                f"{role},{y},{TAG_NAMES[t]},{','.join(map(repr, row.tolist()))}\r\n"
-                for y, t, row in zip(split.y.tolist(), split.tag.tolist(), np.asarray(split.x, dtype=np.float64))
-            )
+        try:
+            fh.write(",".join(["role", "label", "tag"] + [f"f{i}" for i in range(ds.d_in)]) + "\r\n")
+            if hasattr(os, "fork"):
+                _write_halves(fh, splits, n, path)
+            else:
+                _write_rows(fh, splits, 0, n)
+        except BaseException:
+            if os.path.isfile(path):
+                os.unlink(path)
+            raise
 
 
 def _numbered_rows(fh, path, first: int):
@@ -327,9 +393,9 @@ def _bulk_splits(fh, d_in: int) -> list[Split] | None:
             # rows come in runs of one head, as save_csv writes them; a "\n" ends a line,
             # so this counts the later lines that start with the first line's head
             if text.count(f"\n{role},{label},{tag},") == len(chunk) - 1:
-                roles.extend(repeat(role_codes[role], len(chunk)))
-                tags.extend(repeat(TAG_CODES[tag], len(chunk)))
-                labels.extend(repeat(int(label), len(chunk)))
+                roles.extend(array("q", (role_codes[role],)) * len(chunk))
+                tags.extend(array("q", (TAG_CODES[tag],)) * len(chunk))
+                labels.extend(array("q", (int(label),)) * len(chunk))
             else:
                 for line in chunk:
                     role, label, tag, _ = line.split(",", 3)

@@ -192,34 +192,7 @@ def format_metrics_line(record: MetricsRecord) -> str:
     return " ".join(parts)
 
 
-def parse_metrics_line(line: str) -> MetricsRecord:
-    tokens: dict[str, str] = {}
-    for token in line.split():
-        if "=" not in token:
-            raise ConfigError(f"malformed metrics token {token!r}")
-        key, value = token.split("=", 1)
-        tokens[key] = value
-    values: dict[str, int | float | None] = {}
-    for key in METRICS_KEY_ORDER:
-        kind = _METRICS_TYPES[key]
-        if key not in tokens:
-            if kind in (int, float):
-                raise ConfigError(f"metrics line is missing key {key!r}")
-            values[key] = None
-            continue
-        try:
-            values[key] = (int if kind is int else float)(tokens[key])
-        except ValueError as e:
-            raise ConfigError(f"metrics key {key}: expected a number, got {tokens[key]!r}") from e
-    return MetricsRecord(**values)
-
-
 def write_metrics(path, records: list[MetricsRecord]) -> None:
     with open(path, "w") as fh:
         for record in records:
             fh.write(format_metrics_line(record) + "\n")
-
-
-def read_metrics(path) -> list[MetricsRecord]:
-    with open(path) as fh:
-        return [parse_metrics_line(line) for line in fh if line.strip()]

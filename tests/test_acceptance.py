@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 import openset_ssl.trainer as trainer_mod
-from openset_ssl.autodiff import grad_check
+from oracles import grad_check
 from openset_ssl.cli import main as cli_main
 from openset_ssl.data import (
     AugmentConfig,

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from openset_ssl.cli import main, parse_kv_file, resolve_spec, snapshot_text
 from openset_ssl.data import load_csv
 from openset_ssl.errors import ConfigError, ParseError
-from openset_ssl.evaluation import read_metrics
 from openset_ssl.model import init_params, load_checkpoint, save_checkpoint
+from oracles import read_metrics
 from test_csv import MUTATION, mutate
 
 GEN_LINES = """\
@@ -601,6 +601,84 @@ def test_mutated_csv_exits_0_or_2(trained_checkpoint_and_data, tmp_path, capsys,
     assert (code == 0) == (out / "eval.txt").exists()
     if code == 2:
         assert str(data) in err
+
+
+# A spec that trains for two steps on a few dozen rows. The train keys come
+# first, so a spec cut inside them has no dataset source and exits 2 at once.
+FUZZ_SPEC = b"""\
+e_fix = 1
+e_max = 1
+i_max = 2
+b = 4
+mu = 2
+hidden = 4,3
+lr = 0.03
+tau = 0.9
+lam_oc = 0.5
+strong_mask_prob = 0.2
+gen_k_classes = 2
+gen_n_seen_outlier = 1
+gen_n_unseen_outlier = 1
+gen_d_in = 2
+gen_train_per_class = 12
+gen_labels_per_class = 3
+gen_unlabeled_per_outlier = 6
+gen_test_per_class = 4
+gen_test_per_outlier = 4
+gen_cluster_sigma = 0.8
+gen_min_center_distance = 3.0
+gen_center_box = 4.0
+gen_seed = 1
+"""
+
+SPEC_MUTATION = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, len(FUZZ_SPEC) - 1)),
+    st.tuples(st.just("flip"), st.integers(0, len(FUZZ_SPEC) - 1), st.integers(1, 255)),
+    st.tuples(st.sampled_from(["drop_line", "dup_line"]), st.integers(0, FUZZ_SPEC.count(b"\n") - 1)),
+    st.tuples(st.just("dup_field"), st.integers(0, FUZZ_SPEC.count(b"\n") - 1), st.integers(0, 2)),
+)
+
+
+def mutate_spec(text: bytes, mutation) -> bytes:
+    """text with one mutation: cut at a byte, one byte flipped, one line
+    dropped or repeated, or one of a line's "="- or ","-separated fields
+    repeated with the separator before it (after it, for the key)."""
+    kind, where, *how = mutation
+    if kind == "truncate":
+        return text[:where]
+    if kind == "flip":
+        return text[:where] + bytes([text[where] ^ how[0]]) + text[where + 1:]
+    lines = text.splitlines(keepends=True)
+    if kind == "drop_line":
+        return b"".join(lines[:where] + lines[where + 1:])
+    if kind == "dup_line":
+        return b"".join(lines[:where + 1] + lines[where:])
+    parts = re.split(rb"([=,])", lines[where].rstrip(b"\n"))  # field, separator, field, ...
+    i = 2 * (how[0] % ((len(parts) + 1) // 2))
+    sep = parts[i - 1] if i else parts[1] if len(parts) > 1 else b"="
+    parts[i:i + 1] = [parts[i], sep, parts[i]]
+    lines[where] = b"".join(parts) + b"\n"
+    return b"".join(lines)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=SPEC_MUTATION)
+def test_mutated_spec_exits_0_2_or_3(tmp_path, capsys, mutation):
+    """A spec cut short, with one byte flipped, or a line or field dropped
+    or repeated: train either runs, exits 2 or exits 3, with no exception
+    out of main, no RuntimeWarning and an error line for every failure."""
+    spec, out = tmp_path / "fuzz.spec", tmp_path / "run"
+    spec.write_bytes(mutate_spec(FUZZ_SPEC, mutation))
+    shutil.rmtree(out, ignore_errors=True)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["train", "--config", str(spec), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    assert (code == 0) == (out / "metrics.txt").exists()
+    if code != 0:
+        assert re.search(r"^error: ", err, re.MULTILINE), err
 
 
 @pytest.mark.parametrize("case", ["data_is_directory", "data_not_utf8", "config_not_utf8", "out_is_file"])

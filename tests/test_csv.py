@@ -3,6 +3,8 @@ csv.writer / csv.reader reference in reference_csv.py. The writer must
 give byte-identical files; for any text, the reader must give the same
 dataset bit for bit or raise the same error."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -81,6 +83,67 @@ class TestWriter:
         new, ref = write_both(ds, tmp_path)
         assert new == ref
         assert assert_same_outcome(tmp_path / "new.csv")[0] == 2
+
+    # labeled, unlabeled and test rows; a forked child writes rows n // 2 onwards
+    ROW_COUNTS = {
+        "half_inside_labeled": (4, 1, 1),
+        "half_inside_unlabeled": (2, 6, 2),
+        "half_inside_test": (1, 1, 6),
+        "half_on_labeled_unlabeled_boundary": (4, 2, 2),
+        "half_on_unlabeled_test_boundary": (2, 2, 4),
+        "empty_body": (0, 0, 0),
+        "one_row": (0, 0, 1),
+        "two_rows": (1, 1, 0),
+    }
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["fork", "no_fork"])
+    @pytest.mark.parametrize("counts", ROW_COUNTS.values(), ids=ROW_COUNTS)
+    def test_row_ranges_byte_identical(self, tmp_path, monkeypatch, counts, fork):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        new, ref = write_both(with_rows(gen_synthetic(TINY, seed=0), counts), tmp_path)
+        assert new == ref
+        assert new.count(b"\r\n") == 1 + sum(counts)
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["fork", "no_fork"])
+    @pytest.mark.parametrize("bad_row", [1, 5], ids=["first_half", "second_half"])
+    def test_failed_write_leaves_no_file_and_no_child(self, tmp_path, monkeypatch, bad_row, fork):
+        forked = []
+        if fork:
+            real_fork = os.fork
+
+            def recording_fork():
+                pid = real_fork()
+                forked.append(pid)
+                return pid
+
+            monkeypatch.setattr(os, "fork", recording_fork)
+        else:
+            monkeypatch.delattr(os, "fork")
+        ds = with_rows(gen_synthetic(TINY, seed=0), (4, 2, 2))
+        split, row = (ds.labeled, bad_row) if bad_row < 4 else (ds.unlabeled, bad_row - 4)
+        split.tag[row] = 7  # no TAG_NAMES entry
+        path = tmp_path / "data.csv"
+        in_child = fork and bad_row >= 4
+        with pytest.raises(OSError if in_child else KeyError) as info:
+            save_csv(ds, path)
+        assert not path.exists()
+        if in_child:
+            assert str(path) in str(info.value)
+        if fork:
+            assert len(forked) == 1
+            with pytest.raises(ChildProcessError):
+                os.waitpid(forked[0], os.WNOHANG)
+        with pytest.raises(IsADirectoryError):  # the output is opened before anything forks
+            save_csv(ds, tmp_path)
+        assert len(forked) == fork
+
+
+def with_rows(ds, counts):
+    """ds with its splits cut to the first counts = (labeled, unlabeled, test) rows."""
+    ds.labeled, ds.unlabeled, ds.test = (Split(s.x[:n], s.y[:n], s.tag[:n])
+                                         for s, n in zip((ds.labeled, ds.unlabeled, ds.test), counts))
+    return ds
 
 
 BASE = (

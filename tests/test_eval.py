@@ -33,14 +33,13 @@ from openset_ssl.evaluation import (
     evaluate_params,
     export_histogram,
     format_metrics_line,
-    parse_metrics_line,
     predict_open,
-    read_metrics,
     score_block_rows,
     write_metrics,
 )
 from openset_ssl.model import init_params, save_checkpoint
 from openset_ssl.trainer import TrainConfig, train
+from oracles import parse_metrics_line, read_metrics
 
 
 def zeroed(d_in, hidden, k):
