@@ -1,12 +1,13 @@
 """Command line interface: gen-data, train, eval, ablate.
 
-Config files are flat `key = value` text. Keys mirror TrainConfig and
-AugmentConfig field names; generator settings carry a gen_ prefix; an
-experiment additionally names out_dir, exactly one dataset source
-(data_csv or a gen_* block), and the ablation toggles. Unknown keys
-are rejected. The resolved snapshot written next to the run artifacts
-spells out every value, defaults included, and can be fed back to
-`train --config` to reproduce the run.
+Config files are flat `key = value` text. Keys are the field names of
+TrainConfig (augment aside) and AugmentConfig, and of GenConfig with a
+gen_ prefix, plus gen_seed; an experiment additionally names out_dir
+and exactly one dataset source (data_csv or a gen_* block). An ablation
+sets a loss weight to 0 (lam_oc, lam_em, lam_fm) or socr_head = closed.
+Unknown keys are rejected. The resolved snapshot written next to the
+run artifacts spells out every value, defaults included, and can be fed
+back to `train --config` to reproduce the run.
 
 Exit codes: 0 on success, 2 for configuration or validation problems
 (a non-finite config number too), 3 for numeric failures in training.
@@ -15,6 +16,7 @@ Exit codes: 0 on success, 2 for configuration or validation problems
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -27,11 +29,9 @@ from .evaluation import evaluate_params, export_histogram, write_metrics
 from .model import load_checkpoint, save_checkpoint
 from .trainer import TrainConfig, TrainHistory, train
 
-TOGGLE_KEYS = ("disable_socr", "disable_em", "disable_fixmatch", "socr_on_closed_head")
 AUGMENT_KEYS = tuple(f.name for f in fields(AugmentConfig))
-# TrainConfig's own settings; augment is spelled out by AUGMENT_KEYS and
-# socr_head is set only through the socr_on_closed_head toggle.
-TRAIN_SCALAR_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name not in ("augment", "socr_head"))
+# TrainConfig's own settings; augment is spelled out by AUGMENT_KEYS.
+TRAIN_SCALAR_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "augment")
 TRAIN_KEYS = TRAIN_SCALAR_KEYS + AUGMENT_KEYS
 GEN_KEYS = tuple(f"gen_{f.name}" for f in fields(GenConfig)) + ("gen_seed",)
 
@@ -43,25 +43,6 @@ class ExperimentSpec:
     data_csv: str | None
     gen: GenConfig | None
     gen_seed: int
-    disable_socr: bool = False
-    disable_em: bool = False
-    disable_fixmatch: bool = False
-    socr_on_closed_head: bool = False
-
-    def effective_train_config(self) -> TrainConfig:
-        """Apply ablation toggles. Toggles never touch each other's
-        settings; each one only zeroes its own weight or reroutes the
-        consistency head."""
-        cfg = self.train
-        if self.disable_socr:
-            cfg = replace(cfg, lam_oc=0.0)
-        if self.disable_em:
-            cfg = replace(cfg, lam_em=0.0)
-        if self.disable_fixmatch:
-            cfg = replace(cfg, lam_fm=0.0)
-        if self.socr_on_closed_head:
-            cfg = replace(cfg, socr_head="closed")
-        return cfg
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -106,15 +87,6 @@ def _parse_float(key: str, value: str) -> float:
     return number
 
 
-def _parse_bool(key: str, value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ParseError(f"key {key}: expected true/false, got {value!r}")
-
-
 def _parse_hidden(key: str, value: str) -> tuple[int, ...]:
     if not value:
         return ()
@@ -124,7 +96,7 @@ def _parse_hidden(key: str, value: str) -> tuple[int, ...]:
         raise ParseError(f"key {key}: expected comma-separated integers, got {value!r}") from e
 
 
-_PARSERS = {int: _parse_int, float: _parse_float, tuple[int, ...]: _parse_hidden}
+_PARSERS = {int: _parse_int, float: _parse_float, str: lambda key, value: value, tuple[int, ...]: _parse_hidden}
 
 
 def _parsed_fields(cls, kv: dict[str, str], prefix: str = "") -> dict:
@@ -159,7 +131,7 @@ def _gen_seed(kv: dict[str, str], override: int | None = None) -> int:
 def resolve_spec(path, seed_override: int | None = None, out_override: str | None = None) -> ExperimentSpec:
     """Load an experiment file, fill in defaults, and validate."""
     kv = parse_kv_file(path)
-    known = set(TRAIN_KEYS) | set(GEN_KEYS) | set(TOGGLE_KEYS) | {"out_dir", "data_csv"}
+    known = set(TRAIN_KEYS) | set(GEN_KEYS) | {"out_dir", "data_csv"}
     unknown = sorted(set(kv) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -186,20 +158,16 @@ def resolve_spec(path, seed_override: int | None = None, out_override: str | Non
         gen_cfg = _build_gen_config(kv)
         gen_cfg.validate()
 
-    spec = ExperimentSpec(
+    return ExperimentSpec(
         train=train_cfg,
         out_dir=str(out_dir),
         data_csv=str((base / data_csv).resolve()) if data_csv else None,
         gen=gen_cfg,
         gen_seed=gen_seed,
-        **{key: _parse_bool(key, kv[key]) for key in TOGGLE_KEYS if key in kv},
     )
-    return spec
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
@@ -218,7 +186,6 @@ def snapshot_pairs(spec: ExperimentSpec) -> list[tuple[str, str]]:
         values.append(("gen_seed", spec.gen_seed))
     values += [(key, getattr(spec.train, key)) for key in TRAIN_SCALAR_KEYS]
     values += [(key, getattr(spec.train.augment, key)) for key in AUGMENT_KEYS]
-    values += [(key, getattr(spec, key)) for key in TOGGLE_KEYS]
     return [(key, _format_value(value)) for key, value in values]
 
 
@@ -239,7 +206,7 @@ def load_spec_dataset(spec: ExperimentSpec) -> Dataset:
 
 def _train_and_save(spec: ExperimentSpec, dataset: Dataset, out_dir: Path) -> TrainHistory:
     out_dir.mkdir(parents=True, exist_ok=True)
-    history = train(dataset, spec.effective_train_config())
+    history = train(dataset, spec.train)
     pairs = snapshot_pairs(replace(spec, out_dir=str(out_dir)))
     (out_dir / "resolved.spec").write_text(_kv_text(pairs))
     save_checkpoint(out_dir / "checkpoint.npz", history.final_params, config=dict(pairs))
@@ -312,13 +279,13 @@ def cmd_ablate(args) -> int:
     dataset = load_spec_dataset(spec)
     out_dir = Path(spec.out_dir)
     rows = []
-    for name, disable in (("with_socr", False), ("without_socr", True)):
-        variant = replace(spec, disable_socr=disable, disable_fixmatch=True)
+    for name, lam_oc in (("with_socr", spec.train.lam_oc), ("without_socr", 0.0)):
+        variant = replace(spec, train=replace(spec.train, lam_oc=lam_oc, lam_fm=0.0))
         history = _train_and_save(variant, dataset, out_dir / name)
         final = history.records[-1]
         if final.auroc_seen is None:
             raise MetricError("ablation needs seen outliers in the test split")
-        rows.append((name, spec.train.seed, variant.effective_train_config().lam_oc, final.auroc_seen))
+        rows.append((name, spec.train.seed, lam_oc, final.auroc_seen))
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "ablation.csv", "w") as fh:
         fh.write("variant,seed,lam_oc,auroc_seen\n")
@@ -360,6 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc keeps free heap resident up to twice the largest array freed so far,
+# how much of it by heap layout; main returns it after each command.
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -374,6 +350,9 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    finally:
+        if _malloc_trim is not None:
+            _malloc_trim(0)
 
 
 def entrypoint() -> None:

@@ -111,7 +111,7 @@ class Dataset:
                 raise ConfigError(f"{name} split has an outlier row with a class label")
         if np.any(self.labeled.tag != TAG_INLIER):
             raise ConfigError("labeled split may contain only inliers")
-        if set(np.unique(self.labeled.y)) != set(range(k)):
+        if len(np.unique(self.labeled.y)) != k:  # every labeled label lies in [0, k) by now
             raise ConfigError(f"labeled split must cover every class in [0, {k})")
         if np.any(self.unlabeled.tag == TAG_UNSEEN_OUTLIER):
             raise ConfigError("unseen outliers may appear only in the test split")
@@ -193,18 +193,19 @@ def gen_synthetic(cfg: GenConfig, seed: int) -> Dataset:
     """
     cfg.validate()
     rng = np.random.default_rng(seed)
-    n_lab, n_unl = cfg.labels_per_class, cfg.train_per_class - cfg.labels_per_class
-    clusters = (
-        [(j, TAG_INLIER, n_lab, n_unl, cfg.test_per_class) for j in range(cfg.k_classes)]
-        + [(NO_LABEL, TAG_SEEN_OUTLIER, 0, cfg.unlabeled_per_outlier, cfg.test_per_outlier)] * cfg.n_seen_outlier
-        + [(NO_LABEL, TAG_UNSEEN_OUTLIER, 0, 0, cfg.test_per_outlier)] * cfg.n_unseen_outlier
-    )
     blocks = []  # per cluster: one (x, y, tag) block per split
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             centers = _place_centers(cfg, rng)
         except OverflowError as e:
             raise GenerationError(f"center_box {cfg.center_box!r} is too large: {e}") from e
+        # Built once the centers are placed, so at most max_center_retries rows.
+        n_lab, n_unl = cfg.labels_per_class, cfg.train_per_class - cfg.labels_per_class
+        clusters = (
+            [(j, TAG_INLIER, n_lab, n_unl, cfg.test_per_class) for j in range(cfg.k_classes)]
+            + [(NO_LABEL, TAG_SEEN_OUTLIER, 0, cfg.unlabeled_per_outlier, cfg.test_per_outlier)] * cfg.n_seen_outlier
+            + [(NO_LABEL, TAG_UNSEEN_OUTLIER, 0, 0, cfg.test_per_outlier)] * cfg.n_unseen_outlier
+        )
         for center, (label, tag, *counts) in zip(centers, clusters):
             points = center + cfg.cluster_sigma * rng.standard_normal((sum(counts), cfg.d_in))
             if not np.isfinite(points).all():
@@ -369,12 +370,31 @@ def _read_header(fh, path) -> tuple[list[str], int]:
     return header, d_in
 
 
-def _bulk_splits(fh, d_in: int) -> list[Split] | None:
+def _line_bound(path) -> int | None:
+    """A bound on a regular file's body lines, split as newline="" splits
+    them: its \\r\\n, \\n and lone \\r ends (the header has one; a \\r\\n split
+    across blocks counts twice). None for a pipe, which reads only once."""
+    if not os.path.isfile(path):
+        return None
+    bound = 0
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 16):
+            b = np.frombuffer(block, dtype=np.uint8)
+            lf, cr = b == 10, b == 13
+            bound += np.count_nonzero(lf) + np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & lf[1:])
+    return bound
+
+
+def _bulk_splits(fh, d_in: int, max_rows: int | None) -> list[Split] | None:
     """Parse the rows after the header with one np.loadtxt call, fed a
     chunk of lines (CHUNK_CHARS) at a time. None when a line is not a
     plain row (a quote or a 0x1c-0x1f control, a comma count other than
     2 + d, unknown role or tag, a label int() rejects), loadtxt declines
     it or a feature is not finite: the row walk then decides.
+
+    max_rows, a bound on the lines, makes loadtxt allocate its array once;
+    grown by reallocation, the array would go where heap layout let it,
+    and peak RSS with it.
 
     A chunk's total comma count stands in for each line's: usecols makes
     loadtxt refuse a row with too few fields, so with the total right no
@@ -409,7 +429,7 @@ def _bulk_splits(fh, d_in: int) -> list[Split] | None:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # loadtxt warns on an empty body
             x = np.loadtxt(lines(), delimiter=",", usecols=range(3, 3 + d_in), dtype=np.float64,
-                           comments=None, ndmin=2)
+                           comments=None, ndmin=2, max_rows=max_rows)
     except (ValueError, KeyError, OverflowError, UserWarning):  # UnicodeDecodeError is a ValueError
         return None
     if len(x) != len(roles) or not np.isfinite(x).all():
@@ -459,7 +479,7 @@ def load_csv(path) -> Dataset:
     try:
         with open(path, newline="") as fh:
             _, d_in = _read_header(fh, path)
-            splits = _bulk_splits(fh, d_in)
+            splits = _bulk_splits(fh, d_in, _line_bound(path))
         if splits is None:
             d_in, splits = _walk_rows(path)
     except UnicodeDecodeError as e:

@@ -34,7 +34,6 @@ from .model import ModelParams, classify_closed, feature_extract, ova_probs
 class LossBreakdown:
     l_cls: float
     l_ova: float
-    l_sup: float
     l_em: float
     l_oc: float
     l_fm: float
@@ -247,8 +246,7 @@ def loss_all(
         fm, mask_count = loss_fixmatch(params, i_batch, config.augment, rng, config.tau)
         weighted.append((fm, float(config.lam_fm)))
         fm_v = fm.item()
-    sup = cls.data + ova.data
-    value = sup
+    value = cls.data + ova.data
     for term, w in weighted[2:]:
         value = value + term.data * w
 
@@ -260,7 +258,6 @@ def loss_all(
     breakdown = LossBreakdown(
         l_cls=cls.item(),
         l_ova=ova.item(),
-        l_sup=sup.item(),
         l_em=em_v,
         l_oc=oc_v,
         l_fm=fm_v,

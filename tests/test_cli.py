@@ -2,12 +2,14 @@
 reproducibility, and exit codes."""
 
 import io
+import platform
 import re
 import shutil
 import subprocess
 import sys
 import warnings
 import zipfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +17,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from openset_ssl import cli
 from openset_ssl.cli import main, parse_kv_file, resolve_spec, snapshot_text
-from openset_ssl.data import load_csv
+from openset_ssl.data import AugmentConfig, GenConfig, load_csv
 from openset_ssl.errors import ConfigError, ParseError
 from openset_ssl.model import init_params, load_checkpoint, save_checkpoint
+from openset_ssl.trainer import TrainConfig
 from oracles import read_metrics
 from test_csv import MUTATION, mutate
 
@@ -99,7 +103,8 @@ class TestResolveSpec:
         assert spec.train.hidden == (8,)
         assert spec.train.augment.weak_noise_sigma == 0.3
         assert spec.gen.k_classes == 2 and spec.gen_seed == 1
-        assert not spec.disable_socr and not spec.socr_on_closed_head
+        assert (spec.train.lam_em, spec.train.lam_oc, spec.train.lam_fm) == (0.1, 0.5, 1.0)
+        assert spec.train.socr_head == "ova"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_spec(tmp_path, extra="mystery = 1\n", out_dir=tmp_path / "run")
@@ -127,24 +132,21 @@ class TestResolveSpec:
         assert spec.train.seed == 99
 
     def test_toggles_parsed(self, tmp_path):
-        extra = "disable_socr = true\ndisable_em = YES\ndisable_fixmatch = 1\nsocr_on_closed_head = false\n"
-        spec = resolve_spec(write_spec(tmp_path, extra=extra, out_dir=tmp_path / "run"))
-        assert spec.disable_socr and spec.disable_em and spec.disable_fixmatch
-        assert not spec.socr_on_closed_head
-        cfg = spec.effective_train_config()
+        """An ablation zeroes a loss weight; each key sets only its own field."""
+        extra = "lam_oc = 0\nlam_em = 0.0\nlam_fm = 0\nsocr_head = ova\n"
+        cfg = resolve_spec(write_spec(tmp_path, extra=extra, out_dir=tmp_path / "run")).train
         assert cfg.lam_oc == cfg.lam_em == cfg.lam_fm == 0.0
-        assert cfg.socr_head == "ova"
+        assert cfg.socr_head == "ova" and cfg.tau == TrainConfig.tau
 
     def test_closed_head_toggle(self, tmp_path):
-        spec = resolve_spec(
-            write_spec(tmp_path, extra="socr_on_closed_head = true\n", out_dir=tmp_path / "run")
-        )
-        assert spec.effective_train_config().socr_head == "closed"
-        assert spec.effective_train_config().lam_oc == spec.train.lam_oc
+        """socr_head = closed moves the consistency term and keeps its weight."""
+        spec = resolve_spec(write_spec(tmp_path, extra="socr_head = closed\n", out_dir=tmp_path / "run"))
+        assert spec.train.socr_head == "closed"
+        assert spec.train.lam_oc == TrainConfig.lam_oc
 
-    def test_bad_boolean_rejected(self, tmp_path):
-        path = write_spec(tmp_path, extra="disable_socr = maybe\n", out_dir=tmp_path / "run")
-        with pytest.raises(ParseError):
+    def test_bad_socr_head_rejected(self, tmp_path):
+        path = write_spec(tmp_path, extra="socr_head = maybe\n", out_dir=tmp_path / "run")
+        with pytest.raises(ConfigError, match="socr_head must be 'ova' or 'closed', got 'maybe'"):
             resolve_spec(path)
 
     def test_data_csv_resolved_against_spec_dir(self, tmp_path):
@@ -163,11 +165,20 @@ class TestResolveSpec:
         assert snapshot_text(resolve_spec(snap_path)) == once
 
     def test_snapshot_spells_out_every_key(self, tmp_path):
+        """The snapshot holds one key per dataclass field, and the spec
+        accepts those keys and no others (besides data_csv)."""
         spec = resolve_spec(write_spec(tmp_path, out_dir=tmp_path / "run"))
         kv = {line.split(" = ")[0] for line in snapshot_text(spec).splitlines()}
-        from openset_ssl.cli import GEN_KEYS, TOGGLE_KEYS, TRAIN_KEYS
+        from openset_ssl.cli import GEN_KEYS, TRAIN_KEYS
 
-        assert kv == {"out_dir"} | set(GEN_KEYS) | set(TRAIN_KEYS) | set(TOGGLE_KEYS)
+        settings_keys = (
+            {f.name for f in fields(TrainConfig) if f.name != "augment"}
+            | {f.name for f in fields(AugmentConfig)}
+            | {f"gen_{f.name}" for f in fields(GenConfig)}
+            | {"gen_seed"}
+        )
+        assert kv == settings_keys | {"out_dir"}
+        assert set(GEN_KEYS) | set(TRAIN_KEYS) == settings_keys
 
 
 class TestGenDataCmd:
@@ -220,6 +231,24 @@ class TestGenDataCmd:
         assert out.exists()
 
 
+class TestHeapRelease:
+    def test_each_command_trims_the_heap_once(self, tmp_path, monkeypatch, capsys):
+        trims = []
+        monkeypatch.setattr(cli, "_malloc_trim", trims.append)
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(GEN_LINES)
+        assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]) == 0
+        assert trims == [0]
+        assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path)]) == 2  # a directory
+        assert trims == [0, 0]
+        assert main(["no-such-command"]) == 2  # no command ran
+        assert trims == [0, 0]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is a glibc call")
+    def test_found_on_glibc(self):
+        assert cli._malloc_trim is not None
+
+
 class TestTrainCmd:
     def test_artifacts_and_summary(self, tmp_path, capsys):
         spec = write_spec(tmp_path, out_dir=tmp_path / "run")
@@ -232,14 +261,14 @@ class TestTrainCmd:
         out = capsys.readouterr().out
         assert "trained 8 steps" in out and "auroc_seen=" in out
 
-    def test_disable_socr_zeroes_the_term_but_keeps_the_weight(self, tmp_path):
-        spec = write_spec(tmp_path, extra="disable_socr = true\n", out_dir=tmp_path / "run")
-        main(["train", "--config", str(spec)])
+    def test_zero_lam_oc_zeroes_the_term(self, tmp_path):
+        spec = write_spec(tmp_path, extra="lam_oc = 0\n", out_dir=tmp_path / "run")
+        assert main(["train", "--config", str(spec)]) == 0
         records = read_metrics(tmp_path / "run" / "metrics.txt")
         assert all(r.l_oc == 0.0 for r in records)
         snapshot = (tmp_path / "run" / "resolved.spec").read_text()
-        assert "disable_socr = true" in snapshot
-        assert "lam_oc = 0.5" in snapshot  # the toggle, not the weight, records the ablation
+        assert "lam_oc = 0.0\n" in snapshot  # the weight records the ablation
+        assert "socr_head = ova\n" in snapshot
 
     def test_resolved_spec_reproduces_the_run(self, tmp_path):
         spec = write_spec(tmp_path, out_dir=tmp_path / "a")
@@ -615,6 +644,7 @@ hidden = 4,3
 lr = 0.03
 tau = 0.9
 lam_oc = 0.5
+socr_head = ova
 strong_mask_prob = 0.2
 gen_k_classes = 2
 gen_n_seen_outlier = 1
@@ -765,6 +795,22 @@ def test_nonfinite_setting_exits_2_naming_it(tmp_path, capsys, command, line, na
     assert not out.exists()
 
 
+# The boolean ablation toggles are gone (lam_oc, lam_em or lam_fm = 0, or
+# socr_head = closed, say the same), so a spec naming one is refused.
+BAD_ABLATION_LINES = [(f"{key} = true", f"error: unknown config keys: {key}\n")
+                      for key in ("disable_socr", "disable_em", "disable_fixmatch", "socr_on_closed_head")]
+BAD_ABLATION_LINES.append(("socr_head = both", "error: socr_head must be 'ova' or 'closed', got 'both'\n"))
+
+
+@pytest.mark.parametrize("line,named", BAD_ABLATION_LINES, ids=[c[0] for c in BAD_ABLATION_LINES])
+def test_bad_ablation_line_exits_2_naming_it(tmp_path, capsys, line, named):
+    out = tmp_path / "run"
+    spec = write_spec(tmp_path, extra=line + "\n", out_dir=out)
+    assert main(["train", "--config", str(spec)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestAblateCmd:
     def test_two_variants_share_data_and_seed(self, tmp_path):
         spec = write_spec(tmp_path, out_dir=tmp_path / "ab")
@@ -781,23 +827,21 @@ class TestAblateCmd:
     def test_both_variants_disable_pseudo_labeling(self, tmp_path):
         spec = write_spec(tmp_path, out_dir=tmp_path / "ab")
         main(["ablate", "--config", str(spec)])
-        for name in ("with_socr", "without_socr"):
+        for name, lam_oc in (("with_socr", "0.5"), ("without_socr", "0.0")):
             snapshot = (tmp_path / "ab" / name / "resolved.spec").read_text()
-            assert "disable_fixmatch = true" in snapshot
+            assert "lam_fm = 0.0\n" in snapshot
+            assert f"lam_oc = {lam_oc}\n" in snapshot
             assert (tmp_path / "ab" / name / "checkpoint.npz").exists()
 
     def test_variant_rows_match_equivalent_train_runs(self, tmp_path):
         spec = write_spec(tmp_path, out_dir=tmp_path / "ab")
         main(["ablate", "--config", str(spec)])
-        solo = write_spec(
-            tmp_path,
-            name="solo.spec",
-            extra="disable_socr = true\ndisable_fixmatch = true\n",
-            out_dir=tmp_path / "solo",
-        )
+        solo = write_spec(tmp_path, name="solo.spec", extra="lam_oc = 0\nlam_fm = 0\n", out_dir=tmp_path / "solo")
         main(["train", "--config", str(solo)])
         row = (tmp_path / "ab" / "ablation.csv").read_text().splitlines()[2]
         assert float(row.split(",")[3]) == last_record(tmp_path / "solo").auroc_seen
+        metrics = (tmp_path / "ab" / "without_socr" / "metrics.txt").read_bytes()
+        assert metrics == (tmp_path / "solo" / "metrics.txt").read_bytes()
 
     def test_missing_subcommand_exits_2(self):
         assert main([]) == 2

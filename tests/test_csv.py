@@ -224,6 +224,40 @@ def test_plain_file_takes_the_bulk_path(tmp_path, monkeypatch, many_lines):
         load_csv(path)
 
 
+@pytest.mark.parametrize("line_end", [b"\r\n", b"\n", b"\r"])
+def test_every_line_end_takes_the_bulk_path(tmp_path, monkeypatch, many_lines, line_end):
+    """The line bound never falls short of the rows, so loadtxt reads them all."""
+    def no_walk(path):
+        raise AssertionError("row walk used")
+
+    text = b"".join(line.rstrip(b"\r\n") + line_end for line in many_lines)
+    path, crlf = tmp_path / "ends.csv", tmp_path / "crlf.csv"
+    path.write_bytes(text[:-len(line_end)])  # no line end after the last row
+    crlf.write_bytes(b"".join(many_lines))
+    assert data._line_bound(path) == len(many_lines) - 1
+    assert data._line_bound(crlf) == len(many_lines)
+    monkeypatch.setattr(data, "_walk_rows", no_walk)
+    assert load_csv(path) == load_csv(crlf)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_pipe_loads_without_a_line_bound(tmp_path):
+    path = tmp_path / "data.csv"
+    save_csv(gen_synthetic(TINY, seed=1), path)
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, path.read_bytes())  # far below a pipe's buffer
+        os.close(write_end)
+        write_end = None
+        fifo = f"/dev/fd/{read_end}"
+        assert data._line_bound(fifo) is None
+        assert outcome(load_csv, fifo)[3] == outcome(load_csv, path)[3]
+    finally:
+        os.close(read_end)
+        if write_end is not None:
+            os.close(write_end)
+
+
 # Several thousand rows of four features: the bulk reader takes them in
 # several chunks of data.CHUNK_CHARS characters.
 MANY = GenConfig(d_in=4, train_per_class=300, labels_per_class=50, unlabeled_per_outlier=300,

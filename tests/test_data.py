@@ -2,6 +2,7 @@
 sampling, and exact CSV round-trips."""
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,17 @@ from openset_ssl.data import (
     save_csv,
 )
 from openset_ssl.errors import ConfigError, GenerationError, ParseError
+
+
+def traced_peak_bytes(fn):
+    """fn() under tracemalloc; the peak of traced memory while it ran."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 SMALL = GenConfig(
     k_classes=3,
@@ -93,6 +105,17 @@ class TestGenerator:
         cfg = replace(SMALL, d_in=2, center_box=1.0, min_center_distance=50.0, max_center_retries=200)
         with pytest.raises(GenerationError):
             gen_synthetic(cfg, seed=4)
+
+    def test_unplaceable_class_count_fails_in_small_memory(self):
+        # more clusters than center draws: rejected before a per-cluster table exists
+        cfg = replace(SMALL, d_in=2, center_box=1.0, min_center_distance=50.0, max_center_retries=200,
+                      k_classes=2**20)
+
+        def generate():
+            with pytest.raises(GenerationError, match="could not place 1048579 cluster centers"):
+                gen_synthetic(cfg, seed=4)
+
+        assert traced_peak_bytes(generate) < 4 << 20
 
     @pytest.mark.parametrize("change, error", [({"center_box": 1e308}, GenerationError),
                                                ({"cluster_sigma": float("nan")}, ConfigError),
@@ -335,6 +358,18 @@ class TestCsv:
         path.write_text("role,label,tag,f0\nlabeled,0,inlier,1.0\ntest,2,inlier,2.0\n")
         with pytest.raises(ParseError):
             load_csv(path)
+
+    def test_huge_label_fails_in_small_memory(self, tmp_path):
+        # the class count is the largest labeled label plus 1; checking that
+        # the labels cover it must not build anything of that size
+        path = tmp_path / "bad.csv"
+        path.write_text(f"role,label,tag,f0\nlabeled,0,inlier,1.0\nlabeled,{2**20},inlier,2.0\n")
+
+        def load():
+            with pytest.raises(ParseError, match=f"labeled split must cover every class in \\[0, {2**20 + 1}\\)"):
+                load_csv(path)
+
+        assert traced_peak_bytes(load) < 4 << 20
 
     def test_outlier_with_class_label_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

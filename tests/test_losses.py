@@ -321,8 +321,7 @@ class TestLossAll:
         params, x, y, u = random_setup(seed=19)
         cfg = self.cfg()
         _, bd = loss_all(params, x, y, u, u[:4], cfg, np.random.default_rng(1), epoch=5)
-        assert bd.l_sup == pytest.approx(bd.l_cls + bd.l_ova, abs=1e-9)
-        recombined = bd.l_sup + cfg.lam_em * bd.l_em + cfg.lam_oc * bd.l_oc + cfg.lam_fm * bd.l_fm
+        recombined = bd.l_cls + bd.l_ova + cfg.lam_em * bd.l_em + cfg.lam_oc * bd.l_oc + cfg.lam_fm * bd.l_fm
         assert bd.l_all == pytest.approx(recombined, abs=1e-9)
 
     def test_before_warmup_ignores_pseudo_batch(self):
@@ -340,7 +339,7 @@ class TestLossAll:
         cfg = self.cfg(lam_em=0.0, lam_oc=0.0, lam_fm=0.0)
         rng = np.random.default_rng(3)
         total, bd = loss_all(params, x, y, u, u[:2], cfg, rng, epoch=5)
-        assert bd.l_all == bd.l_sup
+        assert bd.l_all == bd.l_cls + bd.l_ova
         assert bd.l_em == bd.l_oc == bd.l_fm == 0.0
         # skipped components must not consume the augmentation stream
         assert rng.integers(0, 1 << 30) == np.random.default_rng(3).integers(0, 1 << 30)
