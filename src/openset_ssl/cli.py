@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
-from .data import AugmentConfig, Dataset, GenConfig, gen_synthetic, load_csv, save_csv
+from .data import TAG_INLIER, AugmentConfig, Dataset, GenConfig, gen_synthetic, load_csv, save_csv
 from .errors import ConfigError, DimensionError, GenerationError, MetricError, NumericError, ParseError
 from .evaluation import evaluate_params, export_histogram, write_metrics
 from .model import load_checkpoint, save_checkpoint
@@ -198,10 +198,20 @@ def _kv_text(pairs: list[tuple[str, str]]) -> str:
     return "".join(f"{key} = {value}\n" for key, value in pairs)
 
 
-def load_spec_dataset(spec: ExperimentSpec) -> Dataset:
-    if spec.data_csv is not None:
-        return load_csv(spec.data_csv)
-    return gen_synthetic(spec.gen, spec.gen_seed)
+def load_spec_dataset(spec: ExperimentSpec, config_path) -> Dataset:
+    """The spec's dataset, refused when training cannot use it. The error
+    names the CSV, or the spec and the gen_ keys that shaped the data."""
+    dataset = load_csv(spec.data_csv) if spec.data_csv is not None else gen_synthetic(spec.gen, spec.gen_seed)
+    for unusable, problem, keys in (
+        (dataset.k_classes < 2, "fewer than 2 classes", "gen_k_classes"),
+        (len(dataset.unlabeled) == 0, "an empty unlabeled split",
+         "gen_train_per_class, gen_labels_per_class, gen_unlabeled_per_outlier"),
+        (not (dataset.test.tag == TAG_INLIER).any(), "no inlier in the test split", "gen_test_per_class"),
+    ):
+        if unusable:
+            source = spec.data_csv if spec.data_csv is not None else f"{config_path}: {keys}"
+            raise ConfigError(f"{source}: cannot train on a dataset with {problem}")
+    return dataset
 
 
 def _train_and_save(spec: ExperimentSpec, dataset: Dataset, out_dir: Path) -> TrainHistory:
@@ -230,7 +240,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     spec = resolve_spec(args.config, seed_override=args.seed, out_override=args.out)
-    dataset = load_spec_dataset(spec)
+    dataset = load_spec_dataset(spec, args.config)
     history = _train_and_save(spec, dataset, Path(spec.out_dir))
     final = history.records[-1]
     print(f"trained {history.steps} steps; final: err_inlier={final.err_inlier:.4f} "
@@ -276,7 +286,9 @@ def cmd_ablate(args) -> int:
     """Train the consistency term on and off under one seed, pseudo-label
     loss disabled in both runs, and report the AUROC pair."""
     spec = resolve_spec(args.config, seed_override=args.seed, out_override=args.out)
-    dataset = load_spec_dataset(spec)
+    if spec.train.lam_oc == 0.0:
+        raise ConfigError(f"{args.config}: lam_oc = 0 leaves ablate nothing to compare; it needs lam_oc > 0")
+    dataset = load_spec_dataset(spec, args.config)
     out_dir = Path(spec.out_dir)
     rows = []
     for name, lam_oc in (("with_socr", spec.train.lam_oc), ("without_socr", 0.0)):

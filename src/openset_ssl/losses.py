@@ -6,9 +6,12 @@ entropy minimization of the one-vs-all heads, a soft consistency
 penalty between two jittered views, and, once self-training starts,
 a confidence-thresholded pseudo-label loss on pseudo-inliers.
 
-Per-sample sums are normalized by the actual batch length. Components
-whose weight is zero are skipped entirely and reported as 0; a skipped
-consistency or pseudo-label term also draws no augmentation noise.
+loss_all alone draws augmentation views (two weak views of the
+unlabeled batch, then a weak and a strong view of the pseudo-inliers)
+and forwards batches, each through feature_extract and the head its
+term reads; each term takes only head outputs and labels. Per-sample
+sums are normalized by the actual batch length. A term whose weight is
+zero is skipped and reported as 0, and draws and forwards nothing.
 
 Each term is one autodiff node over the head outputs, and loss_all
 joins the terms in one more node that forms their weighted sum. Each
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import AugmentConfig, augment_strong, augment_weak
+from .data import augment_strong, augment_weak
 from .errors import ConfigError
 from .model import ModelParams, classify_closed, feature_extract, ova_probs
 
@@ -41,14 +44,6 @@ class LossBreakdown:
     fm_mask_count: int
 
 
-def _closed(params: ModelParams, x) -> Tensor:
-    return classify_closed(params, feature_extract(params, x))
-
-
-def _ova(params: ModelParams, x) -> Tensor:
-    return ova_probs(params, feature_extract(params, x))
-
-
 def _full(shape, g, scale: float) -> np.ndarray:
     """The backward of tensor_sum(t) * scale at output gradient g."""
     return np.full(shape, float(g * scale))
@@ -61,11 +56,10 @@ def _check_labels(y: np.ndarray, k: int) -> np.ndarray:
     return y.astype(np.int64)
 
 
-def loss_cls(params: ModelParams, x: np.ndarray, y: np.ndarray) -> Tensor:
-    """Mean cross-entropy of the closed-set head against true labels:
-    mean(-log(pick(closed_probs, y)))."""
-    y = _check_labels(y, params.k_classes)
-    probs = _closed(params, x)
+def loss_cls(probs: Tensor, y: np.ndarray) -> Tensor:
+    """Mean cross-entropy of closed-set probabilities [B, K] against true
+    labels: mean(-log(pick(probs, y)))."""
+    y = _check_labels(y, probs.shape[1])
     nll, nll_backward = ad.neg_log_pick(probs.data, y)
 
     def backward(g):
@@ -74,20 +68,19 @@ def loss_cls(params: ModelParams, x: np.ndarray, y: np.ndarray) -> Tensor:
     return ad.make_node(nll.mean(), (probs,), backward)
 
 
-def loss_ova(params: ModelParams, x: np.ndarray, y: np.ndarray) -> Tensor:
-    """One-vs-all loss: true class as inlier, hardest other class as outlier.
+def loss_ova(p: Tensor, y: np.ndarray) -> Tensor:
+    """One-vs-all loss on one-vs-all probabilities p [B, K, 2]: true class
+    as inlier, hardest other class as outlier.
 
     Per sample, only the sub-classifier with the smallest log outlier
     probability among the non-true classes receives gradient (ties go
-    to the lowest class index). With flat = ova_probs reshaped to
-    [B, 2K]: mean(-log(pick(flat, 2y)) - log(pick(flat, 2 hardest + 1))).
+    to the lowest class index). With flat = p reshaped to [B, 2K]:
+    mean(-log(pick(flat, 2y)) - log(pick(flat, 2 hardest + 1))).
     """
-    k = params.k_classes
+    b, k = p.shape[:2]
     if k < 2:
         raise ConfigError("one-vs-all loss needs at least 2 classes")
     y = _check_labels(y, k)
-    p = _ova(params, x)                     # [B, K, 2]
-    b = p.shape[0]
     flat = p.data.reshape((b, 2 * k))       # column 2j is inlier-for-j, 2j+1 outlier-for-j
     neg_logp = np.log(np.maximum(p.data[:, :, 1], ad.LOG_EPS))
     neg_logp[np.arange(b), y] = np.inf      # exclude the true class from the min
@@ -103,16 +96,14 @@ def loss_ova(params: ModelParams, x: np.ndarray, y: np.ndarray) -> Tensor:
     return ad.make_node((pos + neg).mean(), (p,), backward)
 
 
-def loss_em(params: ModelParams, u: np.ndarray) -> Tensor:
-    """Mean over the batch of the summed binary entropies of all K heads:
-    tensor_sum(p * log(p)) * (-1 / B) with p = ova_probs."""
-    u = np.asarray(u, dtype=np.float64)
-    if len(u) == 0:
+def loss_em(p: Tensor) -> Tensor:
+    """Mean over the batch of the summed binary entropies of all K
+    one-vs-all heads, p [B, K, 2]: tensor_sum(p * log(p)) * (-1 / B)."""
+    if len(p.data) == 0:
         return Tensor(0.0)
-    p = _ova(params, u)
     clamped = np.maximum(p.data, ad.LOG_EPS)
     log_p = np.log(clamped)
-    scale = -1.0 / len(u)
+    scale = -1.0 / len(p.data)
 
     def backward(g):
         g_p = _full(p.shape, g, scale)
@@ -122,23 +113,18 @@ def loss_em(params: ModelParams, u: np.ndarray) -> Tensor:
     return ad.make_node((p.data * log_p).sum() * scale, (p,), backward)
 
 
-def consistency_from_views(params: ModelParams, v1: np.ndarray, v2: np.ndarray, head: str = "ova") -> Tensor:
-    """Mean over the batch of the squared probability gap between two
-    views: tensor_sum(square(p1 - p2)) * (1 / B).
+def loss_socr(p1: Tensor, p2: Tensor) -> Tensor:
+    """Mean over the batch of the squared gap between one head's
+    probabilities on two views: tensor_sum(square(p1 - p2)) * (1 / B).
 
     Both views stay in the graph: no sharpening, no stopped gradients.
-    head selects which probabilities are compared ("ova" or "closed").
     """
-    if head not in ("ova", "closed"):
-        raise ConfigError(f"head must be 'ova' or 'closed', got {head!r}")
-    if len(v1) != len(v2):
-        raise ConfigError("consistency views must have equal batch sizes")
-    if len(v1) == 0:
+    if p1.shape != p2.shape:
+        raise ConfigError(f"consistency views must have equal shapes, got {p1.shape} and {p2.shape}")
+    if len(p1.data) == 0:
         return Tensor(0.0)
-    fwd = _ova if head == "ova" else _closed
-    p1, p2 = fwd(params, v1), fwd(params, v2)
     gap = p1.data - p2.data
-    scale = 1.0 / len(v1)
+    scale = 1.0 / len(gap)
 
     def backward(g):
         g_gap = _full(gap.shape, g, scale) * 2.0 * gap
@@ -148,68 +134,32 @@ def consistency_from_views(params: ModelParams, v1: np.ndarray, v2: np.ndarray, 
     return ad.make_node((gap ** 2).sum() * scale, (p1, p2), backward)
 
 
-def loss_socr(
-    params: ModelParams,
-    u: np.ndarray,
-    aug: AugmentConfig,
-    rng: np.random.Generator,
-    head: str = "ova",
-) -> Tensor:
-    """Soft consistency between two independent weak augmentations of u."""
-    u = np.asarray(u, dtype=np.float64)
-    if len(u) == 0:
-        return Tensor(0.0)
-    v1 = augment_weak(u, aug, rng)
-    v2 = augment_weak(u, aug, rng)
-    return consistency_from_views(params, v1, v2, head=head)
+def loss_fixmatch(q: np.ndarray, strong_probs: Tensor, tau: float) -> tuple[Tensor, int]:
+    """Pseudo-label cross-entropy; returns (loss, mask count).
 
-
-def fixmatch_from_views(params: ModelParams, weak: np.ndarray, strong: np.ndarray, tau: float) -> tuple[Tensor, int]:
-    """Pseudo-label cross-entropy given prepared weak and strong views.
-
-    Pseudo-labels come from the weak view with gradients detached; only
-    samples whose weak confidence reaches tau contribute, and the sum is
-    divided by the full batch length rather than the mask count:
-    tensor_sum(-log(pick(closed_probs(strong), pseudo)) * mask) * (1 / B).
+    q holds the weak view's closed-set probabilities, computed without
+    gradients; strong_probs the strong view's. Only rows whose weak
+    confidence reaches tau contribute, and the sum is divided by the
+    full batch length rather than the mask count:
+    tensor_sum(-log(pick(strong_probs, argmax(q))) * mask) * (1 / B).
     """
     if not 0.0 < tau <= 1.0:
         raise ConfigError(f"tau must lie in (0, 1], got {tau}")
-    if len(weak) != len(strong):
-        raise ConfigError("weak and strong views must have equal batch sizes")
-    if len(weak) == 0:
-        return Tensor(0.0), 0
-    with ad.no_grad():
-        q = _closed(params, weak).data
+    if q.shape != strong_probs.shape:
+        raise ConfigError(f"weak and strong views must have equal shapes, got {q.shape} and {strong_probs.shape}")
     pseudo = q.argmax(axis=1)
     confident = q[np.arange(len(q)), pseudo] >= tau  # the row max, gathered
     count = int(confident.sum())
     if count == 0:
         return Tensor(0.0), 0
     mask = confident.astype(np.float64)
-    strong_probs = _closed(params, strong)
     nll, nll_backward = ad.neg_log_pick(strong_probs.data, pseudo)
-    scale = 1.0 / len(weak)
+    scale = 1.0 / len(q)
 
     def backward(g):
         ad.accumulate(strong_probs, nll_backward(_full(nll.shape, g, scale) * mask))
 
     return ad.make_node((nll * mask).sum() * scale, (strong_probs,), backward), count
-
-
-def loss_fixmatch(
-    params: ModelParams,
-    i_batch: np.ndarray,
-    aug: AugmentConfig,
-    rng: np.random.Generator,
-    tau: float,
-) -> tuple[Tensor, int]:
-    """Pseudo-label loss on a pseudo-inlier batch; returns (loss, mask count)."""
-    i_batch = np.asarray(i_batch, dtype=np.float64)
-    if len(i_batch) == 0:
-        return Tensor(0.0), 0
-    weak = augment_weak(i_batch, aug, rng)
-    strong = augment_strong(i_batch, aug, rng)
-    return fixmatch_from_views(params, weak, strong, tau)
 
 
 def loss_all(
@@ -229,23 +179,29 @@ def loss_all(
     after the self-training warmup (epoch > e_fix); before that the total
     is independent of i_batch.
     """
-    cls = loss_cls(params, x, y)
-    ova = loss_ova(params, x, y)
-    weighted = [(cls, 1.0), (ova, 1.0)]
-    em_v = oc_v = fm_v = 0.0
+
+    def forward(head, batch) -> Tensor:
+        return head(params, feature_extract(params, batch))
+
+    cls = loss_cls(forward(classify_closed, x), y)
+    ova = loss_ova(forward(ova_probs, x), y)
+    terms = {"l_cls": (cls, 1.0), "l_ova": (ova, 1.0)}
     mask_count = 0
     if config.lam_em > 0.0:
-        em = loss_em(params, u)
-        weighted.append((em, float(config.lam_em)))
-        em_v = em.item()
+        terms["l_em"] = (loss_em(forward(ova_probs, u)), float(config.lam_em))
     if config.lam_oc > 0.0:
-        oc = loss_socr(params, u, config.augment, rng, head=config.socr_head)
-        weighted.append((oc, float(config.lam_oc)))
-        oc_v = oc.item()
+        head = ova_probs if config.socr_head == "ova" else classify_closed
+        v1 = augment_weak(u, config.augment, rng)
+        v2 = augment_weak(u, config.augment, rng)
+        terms["l_oc"] = (loss_socr(forward(head, v1), forward(head, v2)), float(config.lam_oc))
     if epoch > config.e_fix and config.lam_fm > 0.0:
-        fm, mask_count = loss_fixmatch(params, i_batch, config.augment, rng, config.tau)
-        weighted.append((fm, float(config.lam_fm)))
-        fm_v = fm.item()
+        weak = augment_weak(i_batch, config.augment, rng)
+        strong = augment_strong(i_batch, config.augment, rng)
+        with ad.no_grad():
+            q = forward(classify_closed, weak).data
+        fm, mask_count = loss_fixmatch(q, forward(classify_closed, strong), config.tau)
+        terms["l_fm"] = (fm, float(config.lam_fm))
+    weighted = list(terms.values())
     value = cls.data + ova.data
     for term, w in weighted[2:]:
         value = value + term.data * w
@@ -255,13 +211,5 @@ def loss_all(
             ad.accumulate(term, g * w)
 
     total = ad.make_node(value, [term for term, _ in weighted], backward)
-    breakdown = LossBreakdown(
-        l_cls=cls.item(),
-        l_ova=ova.item(),
-        l_em=em_v,
-        l_oc=oc_v,
-        l_fm=fm_v,
-        l_all=total.item(),
-        fm_mask_count=mask_count,
-    )
-    return total, breakdown
+    values = {"l_em": 0.0, "l_oc": 0.0, "l_fm": 0.0} | {name: term.item() for name, (term, _) in terms.items()}
+    return total, LossBreakdown(**values, l_all=total.item(), fm_mask_count=mask_count)

@@ -1,15 +1,19 @@
 """Checks that only the tests use, kept out of the package: a
-finite-difference gradient check, and the metrics.txt parser that the
-round-trip tests hold evaluation.format_metrics_line to.
+finite-difference gradient check, the metrics.txt parser that the
+round-trip tests hold evaluation.format_metrics_line to, and the forward
+passes and view draws of losses.loss_all, replayed one term at a time.
 """
 
 from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
-from openset_ssl.autodiff import Tensor
+from openset_ssl.autodiff import Tensor, no_grad
+from openset_ssl.data import augment_strong, augment_weak
 from openset_ssl.errors import ConfigError, NumericError
 from openset_ssl.evaluation import METRICS_KEY_ORDER, MetricsRecord
+from openset_ssl.losses import loss_fixmatch, loss_socr
+from openset_ssl.model import classify_closed, feature_extract, ova_probs
 
 _TYPES = get_type_hints(MetricsRecord)
 
@@ -73,3 +77,33 @@ def parse_metrics_line(line: str) -> MetricsRecord:
 def read_metrics(path) -> list[MetricsRecord]:
     with open(path) as fh:
         return [parse_metrics_line(line) for line in fh if line.strip()]
+
+
+def closed(params, x) -> Tensor:
+    """Closed-set probabilities of x: an extractor pass and the closed head."""
+    return classify_closed(params, feature_extract(params, x))
+
+
+def ova(params, x) -> Tensor:
+    """One-vs-all probabilities of x: an extractor pass and the one-vs-all head."""
+    return ova_probs(params, feature_extract(params, x))
+
+
+def socr_on(params, u, aug, rng, head=ova) -> Tensor:
+    """loss_socr on two weak views of u, drawn and forwarded as loss_all does."""
+    v1 = augment_weak(u, aug, rng)
+    v2 = augment_weak(u, aug, rng)
+    return loss_socr(head(params, v1), head(params, v2))
+
+
+def fixmatch_on_views(params, weak, strong, tau) -> tuple[Tensor, int]:
+    """loss_fixmatch with the weak view's closed-set probabilities taken without gradients."""
+    with no_grad():
+        q = closed(params, weak).data
+    return loss_fixmatch(q, closed(params, strong), tau)
+
+
+def fixmatch_on(params, i_batch, aug, rng, tau) -> tuple[Tensor, int]:
+    """loss_fixmatch on a weak and a strong view of i_batch, drawn as loss_all draws them."""
+    weak = augment_weak(i_batch, aug, rng)
+    return fixmatch_on_views(params, weak, augment_strong(i_batch, aug, rng), tau)

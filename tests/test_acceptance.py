@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 import openset_ssl.trainer as trainer_mod
-from oracles import grad_check
+from oracles import closed, fixmatch_on, grad_check, ova, socr_on
 from openset_ssl.cli import main as cli_main
 from openset_ssl.data import (
     AugmentConfig,
@@ -35,14 +35,7 @@ from openset_ssl.data import (
     save_csv,
 )
 from openset_ssl.evaluation import auroc, evaluate_params, export_histogram
-from openset_ssl.losses import (
-    loss_all,
-    loss_cls,
-    loss_em,
-    loss_fixmatch,
-    loss_ova,
-    loss_socr,
-)
+from openset_ssl.losses import loss_all, loss_cls, loss_em, loss_ova
 from openset_ssl.model import init_params, load_checkpoint, save_checkpoint
 from openset_ssl.trainer import TrainConfig, train
 
@@ -131,15 +124,15 @@ def test_gradient_checks_every_loss():
     cfg = TrainConfig(b=b, mu=2, tau=0.25, e_fix=1, e_max=2, i_max=1, hidden=(6,), augment=aug)
 
     # The pseudo-label term must actually fire for its check to mean anything.
-    _, mask_count = loss_fixmatch(params, i_batch, aug, np.random.default_rng(6), tau=0.25)
+    _, mask_count = fixmatch_on(params, i_batch, aug, np.random.default_rng(6), tau=0.25)
     assert mask_count > 0
 
     checks = {
-        "cls": lambda: loss_cls(params, x, y),
-        "ova": lambda: loss_ova(params, x, y),
-        "em": lambda: loss_em(params, u),
-        "oc": lambda: loss_socr(params, u, aug, np.random.default_rng(5)),
-        "fm": lambda: loss_fixmatch(params, i_batch, aug, np.random.default_rng(6), tau=0.25)[0],
+        "cls": lambda: loss_cls(closed(params, x), y),
+        "ova": lambda: loss_ova(ova(params, x), y),
+        "em": lambda: loss_em(ova(params, u)),
+        "oc": lambda: socr_on(params, u, aug, np.random.default_rng(5)),
+        "fm": lambda: fixmatch_on(params, i_batch, aug, np.random.default_rng(6), tau=0.25)[0],
         "all": lambda: loss_all(params, x, y, u, i_batch, cfg, np.random.default_rng(7), epoch=2)[0],
     }
     for name, fn in checks.items():
@@ -159,14 +152,14 @@ def test_loss_value_oracles():
     y = np.array([0, 1, 2, 0, 1, 2])
     u = rng.normal(size=(10, d))
 
-    assert abs(loss_ova(params, x, y).item() - 2.0 * math.log(2.0)) < 1e-9
-    assert abs(loss_em(params, u).item() - k * math.log(2.0)) < 1e-9
+    assert abs(loss_ova(ova(params, x), y).item() - 2.0 * math.log(2.0)) < 1e-9
+    assert abs(loss_em(ova(params, u)).item() - k * math.log(2.0)) < 1e-9
 
     noiseless = AugmentConfig(weak_noise_sigma=0.0, strong_noise_sigma=0.0, strong_mask_prob=0.0)
-    assert loss_socr(params, u, noiseless, np.random.default_rng(2)).item() == 0.0
+    assert socr_on(params, u, noiseless, np.random.default_rng(2)).item() == 0.0
 
     aug = AugmentConfig(weak_noise_sigma=0.3, strong_noise_sigma=0.6, strong_mask_prob=0.2)
-    fm, mask_count = loss_fixmatch(params, u, aug, np.random.default_rng(3), tau=1.0)
+    fm, mask_count = fixmatch_on(params, u, aug, np.random.default_rng(3), tau=1.0)
     assert fm.item() == 0.0
     assert mask_count == 0
 

@@ -6,8 +6,9 @@ bench/tracer.py replaces module and class attributes with timing
 wrappers and leaves out every per-layer metric whose wrap point is gone.
 These tests read that file, without changing it, and check that every
 wrap point exists and that the callers really go through the wrapped
-names: a loss that stops calling `losses.feature_extract`, say, would
-silently drop the extractor-pass counters from the report. Likewise
+names: a step that stops calling `losses.feature_extract`, say, would
+silently drop the extractor-pass counters from the report, and one that
+skips a loss term would drop that term's span. Likewise
 bench/workloads.py scores a checkpoint straight from its array names.
 """
 
@@ -29,6 +30,7 @@ WORKLOADS_PATH = TRACER_PATH.with_name("workloads.py")
 PKG = SimpleNamespace(autodiff=autodiff, data=data, model=model, losses=losses,
                       evaluation=evaluation, trainer=trainer, cli=cli)
 FORWARD_PIECES = ("feature_extract", "classify_closed", "ova_probs")
+LOSS_TERMS = ("loss_cls", "loss_ova", "loss_em", "loss_socr", "loss_fixmatch")
 
 
 def load_unchanged(name, path):
@@ -69,17 +71,40 @@ def test_every_wrap_point_exists(tracer_module):
     assert missing == []
 
 
-@pytest.mark.parametrize("epoch", [1, 3], ids=["warmup", "selftrain"])
-def test_loss_step_goes_through_the_losses_names(monkeypatch, epoch):
+def counted_step(monkeypatch, cfg, epoch, attrs):
+    """One trainer.loss_all step with the calls to each of losses' attrs
+    counted: {attr: count}, and the step's breakdown."""
     ds = gen_synthetic(GenConfig(), 0)
-    view = ds.train_view()
-    cfg = TrainConfig(e_fix=2, tau=0.3)
     rng = np.random.default_rng(0)
     params = init_params(ds.d_in, cfg.hidden, ds.k_classes, rng)
-    xb, yb, ub, ib = sample_batches(view, cfg.b, cfg.mu, np.arange(100), rng)
-    calls = {attr: counting(monkeypatch, losses, attr) for attr in FORWARD_PIECES}
-    trainer.loss_all(params, xb, yb, ub, ib, cfg, rng, epoch)
-    assert all(calls[attr] for attr in FORWARD_PIECES), {a: len(c) for a, c in calls.items()}
+    xb, yb, ub, ib = sample_batches(ds.train_view(), cfg.b, cfg.mu, np.arange(100), rng)
+    calls = {attr: counting(monkeypatch, losses, attr) for attr in attrs}
+    _, breakdown = trainer.loss_all(params, xb, yb, ub, ib, cfg, rng, epoch)
+    return {attr: len(c) for attr, c in calls.items()}, breakdown
+
+
+@pytest.mark.parametrize("epoch,tau", [(1, 0.3), (3, 0.3), (3, 1.0)],
+                         ids=["warmup", "selftrain", "selftrain_zero_mask"])
+def test_loss_step_goes_through_the_losses_names(monkeypatch, epoch, tau):
+    """Every forward piece and every loss term the tracer wraps is called
+    on each step where its weight is on, the pseudo-label term even when
+    no weak row is confident."""
+    terms = LOSS_TERMS if epoch > 2 else LOSS_TERMS[:-1]
+    counts, breakdown = counted_step(monkeypatch, TrainConfig(e_fix=2, tau=tau), epoch, FORWARD_PIECES + LOSS_TERMS)
+    assert all(counts[attr] for attr in FORWARD_PIECES), counts
+    assert all(counts[attr] == 1 for attr in terms), counts
+    assert counts["loss_fixmatch"] == (epoch > 2)
+    assert (breakdown.fm_mask_count > 0) == (epoch > 2 and tau < 1.0)
+
+
+@pytest.mark.parametrize("epoch,passes", [(1, 5), (11, 7)], ids=["warmup", "selftrain"])
+def test_extractor_passes_per_step(monkeypatch, epoch, passes):
+    """At the default config, a step forwards the labeled batch once per
+    head, the unlabeled batch for L_em and once per L_oc view, and in
+    self-training the pseudo-inlier batch once per view. The benchmark
+    counts these through losses.feature_extract."""
+    counts, _ = counted_step(monkeypatch, TrainConfig(), epoch, ("feature_extract",))
+    assert counts["feature_extract"] == passes
 
 
 def test_evaluation_goes_through_the_evaluation_names(monkeypatch):

@@ -795,6 +795,42 @@ def test_nonfinite_setting_exits_2_naming_it(tmp_path, capsys, command, line, na
     assert not out.exists()
 
 
+# gen_ lines that leave a dataset training cannot use, a gen_ key the
+# error names, and the problem it names
+UNTRAINABLE_DATA = [
+    (["gen_k_classes = 1"], "gen_k_classes", "fewer than 2 classes"),
+    (["gen_train_per_class = 5", "gen_unlabeled_per_outlier = 0"], "gen_labels_per_class", "an empty unlabeled split"),
+    (["gen_test_per_class = 0"], "gen_test_per_class", "no inlier in the test split"),
+]
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("source", ["gen", "csv"])
+@pytest.mark.parametrize("lines,key,problem", UNTRAINABLE_DATA, ids=["one_class", "no_unlabeled", "no_test_inlier"])
+def test_untrainable_dataset_exits_2_naming_it(tmp_path, capsys, command, source, lines, key, problem):
+    """Refused once the data is loaded, before any training or output,
+    naming the spec and a gen_ key, or the CSV."""
+    gen = GEN_LINES
+    for line in lines:
+        gen = with_line(gen, line)
+    out = tmp_path / "run"
+    if source == "gen":
+        spec = write_spec(tmp_path, gen=gen, out_dir=out)
+        named = f"{spec}: "
+    else:
+        (tmp_path / "gen.cfg").write_text(gen)
+        assert main(["gen-data", "--config", str(tmp_path / "gen.cfg"), "--out", str(tmp_path / "data.csv")]) == 0
+        spec = tmp_path / "exp.spec"
+        spec.write_text(f"out_dir = {out}\ndata_csv = data.csv\n" + TRAIN_LINES)
+        named = f"{tmp_path.resolve() / 'data.csv'}: "
+    capsys.readouterr()
+    assert main([command, "--config", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and problem in err, err
+    assert source == "csv" or key in err, err
+    assert not out.exists()
+
+
 # The boolean ablation toggles are gone (lam_oc, lam_em or lam_fm = 0, or
 # socr_head = closed, say the same), so a spec naming one is refused.
 BAD_ABLATION_LINES = [(f"{key} = true", f"error: unknown config keys: {key}\n")
@@ -842,6 +878,14 @@ class TestAblateCmd:
         assert float(row.split(",")[3]) == last_record(tmp_path / "solo").auroc_seen
         metrics = (tmp_path / "ab" / "without_socr" / "metrics.txt").read_bytes()
         assert metrics == (tmp_path / "solo" / "metrics.txt").read_bytes()
+
+    def test_zero_lam_oc_exits_2_before_output(self, tmp_path, capsys):
+        """With lam_oc = 0 both variants would be one run reported as a comparison."""
+        spec = write_spec(tmp_path, extra="lam_oc = 0\n", out_dir=tmp_path / "ab")
+        assert main(["ablate", "--config", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert f"{spec}: lam_oc = 0" in err, err
+        assert not (tmp_path / "ab").exists()
 
     def test_missing_subcommand_exits_2(self):
         assert main([]) == 2

@@ -1,6 +1,7 @@
 """Loss oracles: hand-crafted probability setups with values derived by
 scalar arithmetic, plus finite-difference gradient checks and the
-composition rules of the combined objective."""
+composition rules of the combined objective. Each term takes head
+outputs, so every case forwards its batch first, as loss_all does."""
 
 import math
 
@@ -11,20 +12,10 @@ from hypothesis import strategies as st
 
 from openset_ssl.data import AugmentConfig
 from openset_ssl.errors import ConfigError
-from openset_ssl.losses import (
-    LossBreakdown,
-    consistency_from_views,
-    fixmatch_from_views,
-    loss_all,
-    loss_cls,
-    loss_em,
-    loss_fixmatch,
-    loss_ova,
-    loss_socr,
-)
+from openset_ssl.losses import LossBreakdown, loss_all, loss_cls, loss_em, loss_ova, loss_socr
 from openset_ssl.model import init_params
 from openset_ssl.trainer import TrainConfig
-from oracles import grad_check
+from oracles import closed, fixmatch_on, fixmatch_on_views, grad_check, ova, socr_on
 
 
 def zeroed(d_in, hidden, k):
@@ -51,12 +42,12 @@ class TestLossCls:
         params = zeroed(3, (4,), 4)
         x = np.random.default_rng(1).normal(size=(6, 3))
         y = np.array([0, 1, 2, 3, 0, 1])
-        assert loss_cls(params, x, y).item() == pytest.approx(math.log(4.0), abs=1e-12)
+        assert loss_cls(closed(params, x), y).item() == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_confident_correct_prediction_vanishes(self):
         params = zeroed(1, (), 3)
         params.closed_b.data[:] = [80.0, 0.0, 0.0]
-        val = loss_cls(params, np.zeros((2, 1)), np.zeros(2, dtype=int)).item()
+        val = loss_cls(closed(params, np.zeros((2, 1))), np.zeros(2, dtype=int)).item()
         assert 0.0 <= val <= 1e-9
 
     def test_against_scalar_reference(self):
@@ -73,16 +64,16 @@ class TestLossCls:
             lse = m + math.log(sum(math.exp(v - m) for v in row))
             expected += lse - row[int(y[i])]
         expected /= len(x)
-        assert loss_cls(params, x, y).item() == pytest.approx(expected, rel=1e-12)
+        assert loss_cls(closed(params, x), y).item() == pytest.approx(expected, rel=1e-12)
 
     def test_label_out_of_range(self):
         params = zeroed(2, (), 3)
         with pytest.raises(ConfigError):
-            loss_cls(params, np.zeros((1, 2)), np.array([3]))
+            loss_cls(closed(params, np.zeros((1, 2))), np.array([3]))
 
     def test_gradient(self):
         params, x, y, _ = random_setup(seed=3)
-        err = grad_check(lambda: loss_cls(params, x, y), params.parameters())
+        err = grad_check(lambda: loss_cls(closed(params, x), y), params.parameters())
         assert err <= 1e-4
 
 
@@ -91,26 +82,26 @@ class TestLossOva:
         params = zeroed(4, (6,), 3)
         x = np.random.default_rng(4).normal(size=(5, 4))
         y = np.array([0, 1, 2, 0, 1])
-        assert loss_ova(params, x, y).item() == pytest.approx(2.0 * math.log(2.0), abs=1e-9)
+        assert loss_ova(ova(params, x), y).item() == pytest.approx(2.0 * math.log(2.0), abs=1e-9)
 
     def test_crafted_two_class_value(self):
         # p^0(inlier) = 0.9 for the true class, p^1(outlier) = 0.8
         params = zeroed(1, (), 2)
         params.ova_b.data[:] = [math.log(9.0), 0.0, 0.0, math.log(4.0)]
-        val = loss_ova(params, np.zeros((1, 1)), np.array([0])).item()
+        val = loss_ova(ova(params, np.zeros((1, 1))), np.array([0])).item()
         assert val == pytest.approx(-(math.log(0.9) + math.log(0.8)), abs=1e-12)
 
     def test_hardest_negative_selected(self):
         # class 1 is the weaker outlier detection (0.6 < 0.9), so it is the min
         params = zeroed(1, (), 3)
         params.ova_b.data[:] = [0.0, 0.0, 0.0, math.log(1.5), 0.0, math.log(9.0)]
-        val = loss_ova(params, np.zeros((1, 1)), np.array([0])).item()
+        val = loss_ova(ova(params, np.zeros((1, 1))), np.array([0])).item()
         assert val == pytest.approx(-(math.log(0.5) + math.log(0.6)), abs=1e-12)
 
     def test_gradient_reaches_only_selected_negative(self):
         params = zeroed(1, (), 3)
         params.ova_b.data[:] = [0.0, 0.0, 0.0, math.log(1.5), 0.0, math.log(9.0)]
-        loss = loss_ova(params, np.zeros((1, 1)), np.array([0]))
+        loss = loss_ova(ova(params, np.zeros((1, 1))), np.array([0]))
         loss.backward()
         g = params.ova_b.grad
         assert np.any(g[2:4] != 0.0)   # selected negative (class 1)
@@ -118,7 +109,7 @@ class TestLossOva:
 
     def test_tie_goes_to_lowest_class_index(self):
         params = zeroed(1, (), 3)  # classes 1 and 2 perfectly tied
-        loss = loss_ova(params, np.zeros((1, 1)), np.array([0]))
+        loss = loss_ova(ova(params, np.zeros((1, 1))), np.array([0]))
         loss.backward()
         g = params.ova_b.grad
         assert np.any(g[2:4] != 0.0) and np.all(g[4:6] == 0.0)
@@ -127,20 +118,20 @@ class TestLossOva:
         params = zeroed(1, (), 3)
         params.ova_b.data[:] = [0.0, 0.0, 0.0, math.log(1.5), 0.0, math.log(9.0)]
         x, y = np.zeros((1, 1)), np.array([0])
-        before = loss_ova(params, x, y).item()
+        before = loss_ova(ova(params, x), y).item()
         params.ova_b.data[4] += 1e-3  # still far from being the min
         params.ova_w.data[0, 5] -= 1e-3
-        after = loss_ova(params, x, y).item()
+        after = loss_ova(ova(params, x), y).item()
         assert before == after
 
     def test_single_class_rejected(self):
         params = zeroed(2, (), 1)
         with pytest.raises(ConfigError):
-            loss_ova(params, np.zeros((1, 2)), np.array([0]))
+            loss_ova(ova(params, np.zeros((1, 2))), np.array([0]))
 
     def test_gradient(self):
         params, x, y, _ = random_setup(seed=5)
-        err = grad_check(lambda: loss_ova(params, x, y), params.parameters())
+        err = grad_check(lambda: loss_ova(ova(params, x), y), params.parameters())
         assert err <= 1e-4
 
 
@@ -149,25 +140,25 @@ class TestLossEm:
         for k in (2, 5):
             params = zeroed(3, (4,), k)
             u = np.random.default_rng(6).normal(size=(7, 3))
-            assert loss_em(params, u).item() == pytest.approx(k * math.log(2.0), abs=1e-9)
+            assert loss_em(ova(params, u)).item() == pytest.approx(k * math.log(2.0), abs=1e-9)
 
     def test_crafted_two_head_value(self):
         # head 0 at (0.9, 0.1), head 1 at (0.5, 0.5)
         params = zeroed(1, (), 2)
         params.ova_b.data[:] = [math.log(9.0), 0.0, 0.0, 0.0]
         expected = -(0.9 * math.log(0.9) + 0.1 * math.log(0.1)) + math.log(2.0)
-        assert loss_em(params, np.zeros((1, 1))).item() == pytest.approx(expected, abs=1e-12)
+        assert loss_em(ova(params, np.zeros((1, 1)))).item() == pytest.approx(expected, abs=1e-12)
 
     def test_saturated_heads_vanish(self):
         params = zeroed(1, (), 2)
         big = math.log(1e12)
         params.ova_b.data[:] = [big, 0.0, 0.0, big]
-        val = loss_em(params, np.zeros((3, 1))).item()
+        val = loss_em(ova(params, np.zeros((3, 1)))).item()
         assert 0.0 <= val <= 2 * 3e-11
 
     def test_empty_batch(self):
         params = zeroed(2, (), 2)
-        assert loss_em(params, np.empty((0, 2))).item() == 0.0
+        assert loss_em(ova(params, np.empty((0, 2)))).item() == 0.0
 
     @settings(max_examples=30)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
@@ -175,12 +166,12 @@ class TestLossEm:
         rng = np.random.default_rng(seed)
         params = init_params(3, (4,), k, rng)
         u = rng.normal(size=(6, 3))
-        val = loss_em(params, u).item()
+        val = loss_em(ova(params, u)).item()
         assert 0.0 <= val <= k * math.log(2.0) + 1e-12
 
     def test_gradient(self):
         params, _, _, u = random_setup(seed=7)
-        err = grad_check(lambda: loss_em(params, u), params.parameters())
+        err = grad_check(lambda: loss_em(ova(params, u)), params.parameters())
         assert err <= 1e-4
 
 
@@ -191,46 +182,45 @@ class TestConsistency:
         params.ova_w.data[:] = [[1.0, 0.0]]
         v1 = np.array([[math.log(4.0)]])
         v2 = np.array([[math.log(1.5)]])
-        val = consistency_from_views(params, v1, v2).item()
+        val = loss_socr(ova(params, v1), ova(params, v2)).item()
         assert val == pytest.approx(0.08, abs=1e-12)
 
     def test_zero_noise_views_give_exact_zero(self):
         params, _, _, u = random_setup(seed=8)
         aug = AugmentConfig(weak_noise_sigma=0.0, strong_noise_sigma=0.0, strong_mask_prob=0.0)
-        assert loss_socr(params, u, aug, np.random.default_rng(0)).item() == 0.0
+        assert socr_on(params, u, aug, np.random.default_rng(0)).item() == 0.0
 
     def test_symmetric_in_views(self):
         params, _, _, u = random_setup(seed=9)
         rng = np.random.default_rng(1)
         v1 = u + 0.3 * rng.standard_normal(u.shape)
         v2 = u + 0.3 * rng.standard_normal(u.shape)
-        assert consistency_from_views(params, v1, v2).item() == consistency_from_views(params, v2, v1).item()
+        assert loss_socr(ova(params, v1), ova(params, v2)).item() == loss_socr(ova(params, v2), ova(params, v1)).item()
 
     def test_closed_head_variant_differs(self):
         params, _, _, u = random_setup(seed=10)
         rng1, rng2 = np.random.default_rng(2), np.random.default_rng(2)
-        ova_val = loss_socr(params, u, AUG, rng1, head="ova").item()
-        closed_val = loss_socr(params, u, AUG, rng2, head="closed").item()
+        ova_val = socr_on(params, u, AUG, rng1, head=ova).item()
+        closed_val = socr_on(params, u, AUG, rng2, head=closed).item()
         assert ova_val != closed_val
 
     def test_unknown_head_rejected(self):
-        params, _, _, u = random_setup(seed=11)
-        with pytest.raises(ConfigError):
-            consistency_from_views(params, u, u, head="logits")
+        with pytest.raises(ConfigError, match="socr_head"):
+            TrainConfig(socr_head="logits").validate()
 
     def test_empty_batch(self):
         params = zeroed(2, (), 2)
-        assert loss_socr(params, np.empty((0, 2)), AUG, np.random.default_rng(0)).item() == 0.0
+        assert socr_on(params, np.empty((0, 2)), AUG, np.random.default_rng(0)).item() == 0.0
 
     def test_gradient_flows_through_both_views(self):
         params, _, _, u = random_setup(seed=12, b=4)
-        err = grad_check(lambda: loss_socr(params, u, AUG, np.random.default_rng(3)), params.parameters())
+        err = grad_check(lambda: socr_on(params, u, AUG, np.random.default_rng(3)), params.parameters())
         assert err <= 1e-4
 
     def test_gradient_closed_head(self):
         params, _, _, u = random_setup(seed=13, b=4)
         err = grad_check(
-            lambda: loss_socr(params, u, AUG, np.random.default_rng(4), head="closed"), params.parameters()
+            lambda: socr_on(params, u, AUG, np.random.default_rng(4), head=closed), params.parameters()
         )
         assert err <= 1e-4
 
@@ -239,14 +229,14 @@ class TestFixmatch:
     def test_uniform_model_below_threshold(self):
         params = zeroed(2, (), 4)
         i_batch = np.random.default_rng(14).normal(size=(6, 2))
-        loss, count = loss_fixmatch(params, i_batch, AUG, np.random.default_rng(0), tau=1.0)
+        loss, count = fixmatch_on(params, i_batch, AUG, np.random.default_rng(0), tau=1.0)
         assert loss.item() == 0.0 and count == 0
 
     def test_crafted_single_sample(self):
         # weak view is confident at 0.99, strong view sits at 0.5
         params = zeroed(1, (), 2)
         params.closed_w.data[:] = [[math.log(99.0), 0.0]]
-        loss, count = fixmatch_from_views(params, np.array([[1.0]]), np.array([[0.0]]), tau=0.95)
+        loss, count = fixmatch_on_views(params, np.array([[1.0]]), np.array([[0.0]]), tau=0.95)
         assert count == 1
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
@@ -255,7 +245,7 @@ class TestFixmatch:
         params.closed_w.data[:] = [[math.log(99.0), 0.0]]
         weak = np.array([[1.0], [0.0]])    # second sample is at 0.5 < tau
         strong = np.zeros((2, 1))
-        loss, count = fixmatch_from_views(params, weak, strong, tau=0.95)
+        loss, count = fixmatch_on_views(params, weak, strong, tau=0.95)
         assert count == 1
         assert loss.item() == pytest.approx(math.log(2.0) / 2.0, abs=1e-12)
 
@@ -263,32 +253,32 @@ class TestFixmatch:
         params, _, _, u = random_setup(seed=15)
         weak = u + 0.1
         strong = u - 0.1
-        values = [fixmatch_from_views(params, weak, strong, tau)[0].item() for tau in (0.3, 0.5, 0.7, 0.9, 1.0)]
+        values = [fixmatch_on_views(params, weak, strong, tau)[0].item() for tau in (0.3, 0.5, 0.7, 0.9, 1.0)]
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
     def test_pseudo_labels_are_detached(self):
         params = zeroed(1, (), 2)
         params.closed_w.data[:] = [[math.log(99.0), 0.0]]
-        loss, _ = fixmatch_from_views(params, np.array([[1.0]]), np.array([[0.0]]), tau=0.5)
+        loss, _ = fixmatch_on_views(params, np.array([[1.0]]), np.array([[0.0]]), tau=0.5)
         loss.backward()
         # gradient exists (strong view path) and is finite
         assert np.all(np.isfinite(params.closed_w.grad))
 
     def test_empty_batch(self):
         params = zeroed(2, (), 2)
-        loss, count = loss_fixmatch(params, np.empty((0, 2)), AUG, np.random.default_rng(0), tau=0.95)
+        loss, count = fixmatch_on(params, np.empty((0, 2)), AUG, np.random.default_rng(0), tau=0.95)
         assert loss.item() == 0.0 and count == 0
 
     def test_invalid_tau(self):
         params = zeroed(2, (), 2)
         with pytest.raises(ConfigError):
-            fixmatch_from_views(params, np.zeros((1, 2)), np.zeros((1, 2)), tau=0.0)
+            fixmatch_on_views(params, np.zeros((1, 2)), np.zeros((1, 2)), tau=0.0)
 
     def test_gradient(self):
         params, _, _, u = random_setup(seed=16, b=4)
 
         def loss_fn():
-            loss, _ = loss_fixmatch(params, u, AUG, np.random.default_rng(5), tau=0.5)
+            loss, _ = fixmatch_on(params, u, AUG, np.random.default_rng(5), tau=0.5)
             return loss
 
         err = grad_check(loss_fn, params.parameters())
@@ -307,11 +297,11 @@ class TestLossAll:
         cfg = self.cfg()
         total, bd = loss_all(params, x, y, u, i_batch, cfg, np.random.default_rng(9), epoch=4)
 
-        rng = np.random.default_rng(9)  # replay the same augmentation stream
-        manual = loss_cls(params, x, y).item() + loss_ova(params, x, y).item()
-        manual += cfg.lam_em * loss_em(params, u).item()
-        manual += cfg.lam_oc * loss_socr(params, u, cfg.augment, rng).item()
-        fm, count = loss_fixmatch(params, i_batch, cfg.augment, rng, cfg.tau)
+        rng = np.random.default_rng(9)  # replay the draws v1, v2, weak, strong in order
+        manual = loss_cls(closed(params, x), y).item() + loss_ova(ova(params, x), y).item()
+        manual += cfg.lam_em * loss_em(ova(params, u)).item()
+        manual += cfg.lam_oc * socr_on(params, u, cfg.augment, rng).item()
+        fm, count = fixmatch_on(params, i_batch, cfg.augment, rng, cfg.tau)
         manual += cfg.lam_fm * fm.item()
         assert bd.l_all == pytest.approx(manual, abs=1e-9)
         assert bd.fm_mask_count == count
@@ -366,7 +356,7 @@ class TestLossAll:
 @given(st.integers(0, 2**32 - 1))
 def test_losses_are_nonnegative(seed):
     params, x, y, u = random_setup(seed=seed, b=4)
-    assert loss_cls(params, x, y).item() >= 0.0
-    assert loss_ova(params, x, y).item() >= 0.0
-    assert loss_em(params, u).item() >= 0.0
-    assert loss_socr(params, u, AUG, np.random.default_rng(seed)).item() >= 0.0
+    assert loss_cls(closed(params, x), y).item() >= 0.0
+    assert loss_ova(ova(params, x), y).item() >= 0.0
+    assert loss_em(ova(params, u)).item() >= 0.0
+    assert socr_on(params, u, AUG, np.random.default_rng(seed)).item() >= 0.0

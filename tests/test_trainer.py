@@ -13,6 +13,7 @@ from openset_ssl.errors import ConfigError, NumericError
 from openset_ssl.losses import loss_cls, loss_ova
 from openset_ssl.model import init_params
 from openset_ssl.trainer import TrainConfig, gather_grads, select_pseudo_inliers, sgd_step, train
+from oracles import closed, ova
 
 GEN = GenConfig(
     k_classes=3,
@@ -304,7 +305,7 @@ class TestSupervisedReduction:
         for _ in range(cfg.e_max):
             for _ in range(cfg.i_max):
                 xb, yb, ub, ib = sample_batches(view, cfg.b, cfg.mu, empty, rng)
-                total = ref.add(loss_cls(params, xb, yb), loss_ova(params, xb, yb))
+                total = ref.add(loss_cls(closed(params, xb), yb), loss_ova(ova(params, xb), yb))
                 for t in tensors:
                     t.zero_grad()
                 total.backward()
