@@ -23,8 +23,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
-from .data import TAG_INLIER, AugmentConfig, Dataset, GenConfig, gen_synthetic, load_csv, save_csv
-from .errors import ConfigError, DimensionError, GenerationError, MetricError, NumericError, ParseError
+from .data import TAG_INLIER, TAG_SEEN_OUTLIER, AugmentConfig, Dataset, GenConfig, gen_synthetic, load_csv, save_csv
+from .errors import ConfigError, MetricError, NumericError, OpenSetSSLError, ParseError
 from .evaluation import evaluate_params, export_histogram, write_metrics
 from .model import load_checkpoint, save_checkpoint
 from .trainer import TrainConfig, TrainHistory, train
@@ -198,19 +198,22 @@ def _kv_text(pairs: list[tuple[str, str]]) -> str:
     return "".join(f"{key} = {value}\n" for key, value in pairs)
 
 
-def load_spec_dataset(spec: ExperimentSpec, config_path) -> Dataset:
-    """The spec's dataset, refused when training cannot use it. The error
-    names the CSV, or the spec and the gen_ keys that shaped the data."""
+def load_spec_dataset(spec: ExperimentSpec, config_path, command: str = "train") -> Dataset:
+    """The spec's dataset, refused when the command cannot use it: ablate
+    also needs a seen outlier in the test split. The error names the CSV,
+    or the spec and the gen_ keys that shaped the data."""
     dataset = load_csv(spec.data_csv) if spec.data_csv is not None else gen_synthetic(spec.gen, spec.gen_seed)
     for unusable, problem, keys in (
         (dataset.k_classes < 2, "fewer than 2 classes", "gen_k_classes"),
         (len(dataset.unlabeled) == 0, "an empty unlabeled split",
          "gen_train_per_class, gen_labels_per_class, gen_unlabeled_per_outlier"),
         (not (dataset.test.tag == TAG_INLIER).any(), "no inlier in the test split", "gen_test_per_class"),
+        (command == "ablate" and not (dataset.test.tag == TAG_SEEN_OUTLIER).any(),
+         "no seen outlier in the test split", "gen_n_seen_outlier, gen_test_per_outlier"),
     ):
         if unusable:
             source = spec.data_csv if spec.data_csv is not None else f"{config_path}: {keys}"
-            raise ConfigError(f"{source}: cannot train on a dataset with {problem}")
+            raise ConfigError(f"{source}: {command} cannot use a dataset with {problem}")
     return dataset
 
 
@@ -288,16 +291,13 @@ def cmd_ablate(args) -> int:
     spec = resolve_spec(args.config, seed_override=args.seed, out_override=args.out)
     if spec.train.lam_oc == 0.0:
         raise ConfigError(f"{args.config}: lam_oc = 0 leaves ablate nothing to compare; it needs lam_oc > 0")
-    dataset = load_spec_dataset(spec, args.config)
+    dataset = load_spec_dataset(spec, args.config, "ablate")
     out_dir = Path(spec.out_dir)
     rows = []
     for name, lam_oc in (("with_socr", spec.train.lam_oc), ("without_socr", 0.0)):
         variant = replace(spec, train=replace(spec.train, lam_oc=lam_oc, lam_fm=0.0))
         history = _train_and_save(variant, dataset, out_dir / name)
-        final = history.records[-1]
-        if final.auroc_seen is None:
-            raise MetricError("ablation needs seen outliers in the test split")
-        rows.append((name, spec.train.seed, lam_oc, final.auroc_seen))
+        rows.append((name, spec.train.seed, lam_oc, history.records[-1].auroc_seen))
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "ablation.csv", "w") as fh:
         fh.write("variant,seed,lam_oc,auroc_seen\n")
@@ -356,12 +356,12 @@ def main(argv=None) -> int:
         return int(e.code) if e.code is not None else 0
     try:
         return args.func(args)
-    except (ConfigError, GenerationError, DimensionError, MetricError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except NumericError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except (OpenSetSSLError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     finally:
         if _malloc_trim is not None:
             _malloc_trim(0)

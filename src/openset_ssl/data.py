@@ -149,24 +149,19 @@ class GenConfig:
     max_center_retries: int = 10000
 
     def validate(self) -> None:
-        if self.k_classes < 1:
-            raise ConfigError(f"k_classes must be >= 1, got {self.k_classes}")
-        if self.n_seen_outlier < 0 or self.n_unseen_outlier < 0:
-            raise ConfigError("outlier cluster counts must be >= 0")
-        if self.d_in < 1:
-            raise ConfigError(f"d_in must be >= 1, got {self.d_in}")
-        if self.labels_per_class < 1:
-            raise ConfigError(f"labels_per_class must be >= 1, got {self.labels_per_class}")
+        for name, low in (("k_classes", 1), ("n_seen_outlier", 0), ("n_unseen_outlier", 0), ("d_in", 1),
+                          ("labels_per_class", 1), ("unlabeled_per_outlier", 0), ("test_per_class", 0),
+                          ("test_per_outlier", 0), ("cluster_sigma", 0), ("min_center_distance", 0),
+                          ("max_center_retries", 1)):
+            value = getattr(self, name)
+            if not value >= low:  # written so that nan fails it
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
+        if not self.center_box > 0:
+            raise ConfigError(f"center_box must be > 0, got {self.center_box}")
         if self.labels_per_class > self.train_per_class:
             raise ConfigError(
                 f"labels_per_class ({self.labels_per_class}) exceeds train_per_class ({self.train_per_class})"
             )
-        if self.unlabeled_per_outlier < 0 or self.test_per_class < 0 or self.test_per_outlier < 0:
-            raise ConfigError("sample counts must be >= 0")
-        if not self.cluster_sigma >= 0:  # range checks are written so that nan fails them
-            raise ConfigError(f"cluster_sigma must be >= 0, got {self.cluster_sigma}")
-        if not (self.min_center_distance >= 0 and self.center_box > 0) or self.max_center_retries < 1:
-            raise ConfigError("invalid cluster placement settings")
 
 
 def _place_centers(cfg: GenConfig, rng: np.random.Generator) -> np.ndarray:

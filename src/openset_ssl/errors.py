@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: configuration and data problems
-(ConfigError, ParseError, GenerationError, DimensionError, MetricError,
-and an OSError on a file it reads or writes) exit with 2, numeric
-failures during training (NumericError) with 3.
+The CLI maps these onto exit codes by base class: a NumericError (a
+numeric failure during training) exits with 3, and every other
+OpenSetSSLError (configuration and data problems), like an OSError on a
+file it reads or writes, with 2.
 """
 
 

@@ -53,12 +53,9 @@ class TrainConfig:
             raise ConfigError(f"need 1 <= e_fix <= e_max, got e_fix={self.e_fix}, e_max={self.e_max}")
         if not self.lr > 0.0:  # each range check is written so that nan fails it
             raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not self.momentum >= 0.0:
-            raise ConfigError(f"momentum must be >= 0, got {self.momentum}")
-        if not all(lam >= 0.0 for lam in (self.lam_em, self.lam_oc, self.lam_fm)):
-            raise ConfigError("loss weights must be >= 0")
+        for name in ("seed", "momentum", "lam_em", "lam_oc", "lam_fm"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 < self.tau <= 1.0:
             raise ConfigError(f"tau must lie in (0, 1], got {self.tau}")
         if any(h < 1 for h in self.hidden):

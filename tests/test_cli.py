@@ -11,6 +11,7 @@ import warnings
 import zipfile
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -301,6 +302,13 @@ class TestTrainCmd:
         spec.write_text(f"out_dir = {tmp_path / 'run'}\ndata_csv = data.csv\n" + TRAIN_LINES)
         assert main(["train", "--config", str(spec)]) == 0
         assert (tmp_path / "run" / "metrics.txt").exists()
+
+    def test_trains_without_seen_outliers(self, tmp_path, capsys):
+        """ablate refuses such a test split; train runs and leaves auroc_seen out."""
+        spec = write_spec(tmp_path, gen=with_line(GEN_LINES, "gen_n_seen_outlier = 0"), out_dir=tmp_path / "run")
+        assert main(["train", "--config", str(spec)]) == 0
+        assert "auroc_seen=n/a" in capsys.readouterr().out
+        assert "auroc_seen" not in (tmp_path / "run" / "metrics.txt").read_text()
 
     def test_csv_and_generated_sources_agree(self, tmp_path):
         # the CSV round-trip is exact, so training from either source is
@@ -711,6 +719,45 @@ def test_mutated_spec_exits_0_2_or_3(tmp_path, capsys, mutation):
         assert re.search(r"^error: ", err, re.MULTILINE), err
 
 
+# Values a spec key may take, by its field's type: small counts, weights
+# including 0 (and tau of 1), a few hidden stacks, both heads. With e_max
+# and i_max drawn from the counts the budget stays at most 2 x 2 steps.
+VALUES_BY_TYPE = {int: ("0", "1", "2"), float: ("0", "0.5", "1"), tuple[int, ...]: ("", "1", "2,2"),
+                  str: ("ova", "closed")}
+TYPED_VALUES = {prefix + f.name: VALUES_BY_TYPE[get_type_hints(cls)[f.name]]
+                for cls, prefix in ((TrainConfig, ""), (AugmentConfig, ""), (GenConfig, "gen_"))
+                for f in fields(cls) if f.name != "augment"}
+
+
+@st.composite
+def typed_overrides(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(TYPED_VALUES)), min_size=1, max_size=4, unique=True))
+    return [f"{key} = {draw(st.sampled_from(TYPED_VALUES[key]))}" for key in keys]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["train", "ablate"]), lines=typed_overrides())
+def test_typed_spec_exits_0_2_or_3(tmp_path, capsys, command, lines):
+    """FUZZ_SPEC with a few keys set to values of their field's type: the
+    command runs, exits 3, or exits 2 naming the spec or one of its keys
+    before anything is written."""
+    text = FUZZ_SPEC.decode()
+    for line in lines:
+        text = with_line(text, line)
+    spec, out = tmp_path / "typed.spec", tmp_path / "run"
+    spec.write_text(text)
+    shutil.rmtree(out, ignore_errors=True)
+    capsys.readouterr()
+    code = main([command, "--config", str(spec), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    if code == 2:
+        keys = {line.split(" = ")[0] for line in text.splitlines()}
+        names = keys | {key.removeprefix("gen_") for key in keys}
+        assert str(spec) in err or any(re.search(rf"\b{name}\b", err) for name in names), err
+        assert not out.exists(), err
+
+
 @pytest.mark.parametrize("case", ["data_is_directory", "data_not_utf8", "config_not_utf8", "out_is_file"])
 def test_bad_path_exits_2_naming_it(tmp_path, capsys, case):
     """A path that cannot be read or written, or a file that is not UTF-8
@@ -776,16 +823,17 @@ NONFINITE_SETTINGS = [
 ]
 
 
-@pytest.mark.parametrize("command,line,named", NONFINITE_SETTINGS, ids=[c[1] for c in NONFINITE_SETTINGS])
-def test_nonfinite_setting_exits_2_naming_it(tmp_path, capsys, command, line, named):
-    """Exit 2 with no RuntimeWarning and no output file; a finite lr that
-    diverges still exits 3 (test_diverging_training_exits_3)."""
+def exits_2_naming(tmp_path, capsys, command, line, named):
+    """command on the test config with line set exits 2 naming named, with
+    no RuntimeWarning and no output file."""
     if command == "gen-data":
         cfg, out = tmp_path / "gen.cfg", tmp_path / "d.csv"
         cfg.write_text(with_line(GEN_LINES, line))
     else:
         out = tmp_path / "run"
-        cfg = write_spec(tmp_path, train=with_line(TRAIN_LINES, line), out_dir=out)
+        gen_line = line.startswith("gen_")
+        cfg = write_spec(tmp_path, gen=with_line(GEN_LINES, line) if gen_line else GEN_LINES,
+                         train=TRAIN_LINES if gen_line else with_line(TRAIN_LINES, line), out_dir=out)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main([command, "--config", str(cfg), "--out", str(out)])
@@ -795,21 +843,48 @@ def test_nonfinite_setting_exits_2_naming_it(tmp_path, capsys, command, line, na
     assert not out.exists()
 
 
-# gen_ lines that leave a dataset training cannot use, a gen_ key the
-# error names, and the problem it names
-UNTRAINABLE_DATA = [
-    (["gen_k_classes = 1"], "gen_k_classes", "fewer than 2 classes"),
-    (["gen_train_per_class = 5", "gen_unlabeled_per_outlier = 0"], "gen_labels_per_class", "an empty unlabeled split"),
-    (["gen_test_per_class = 0"], "gen_test_per_class", "no inlier in the test split"),
+@pytest.mark.parametrize("command,line,named", NONFINITE_SETTINGS, ids=[c[1] for c in NONFINITE_SETTINGS])
+def test_nonfinite_setting_exits_2_naming_it(tmp_path, capsys, command, line, named):
+    """A finite lr that diverges still exits 3 (test_diverging_training_exits_3)."""
+    exits_2_naming(tmp_path, capsys, command, line, named)
+
+
+# command, config line, what stderr must name: the field out of range and its value
+OUT_OF_RANGE_SETTINGS = [
+    ("gen-data", "gen_center_box = 0", "error: center_box must be > 0, got 0.0\n"),
+    ("gen-data", "gen_max_center_retries = 0", "error: max_center_retries must be >= 1, got 0\n"),
+    ("gen-data", "gen_n_seen_outlier = -1", "error: n_seen_outlier must be >= 0, got -1\n"),
+    ("train", "gen_test_per_class = -1", "error: test_per_class must be >= 0, got -1\n"),
+    ("train", "lam_em = -1", "error: lam_em must be >= 0, got -1.0\n"),
 ]
 
 
-@pytest.mark.parametrize("command", ["train", "ablate"])
-@pytest.mark.parametrize("source", ["gen", "csv"])
-@pytest.mark.parametrize("lines,key,problem", UNTRAINABLE_DATA, ids=["one_class", "no_unlabeled", "no_test_inlier"])
+@pytest.mark.parametrize("command,line,named", OUT_OF_RANGE_SETTINGS, ids=[c[1] for c in OUT_OF_RANGE_SETTINGS])
+def test_out_of_range_setting_exits_2_naming_it(tmp_path, capsys, command, line, named):
+    exits_2_naming(tmp_path, capsys, command, line, named)
+
+
+# case id, gen_ lines that leave a dataset the commands cannot use, a gen_
+# key the error names, the problem it names, and the commands that refuse it
+UNTRAINABLE_DATA = [
+    ("one_class", ["gen_k_classes = 1"], "gen_k_classes", "fewer than 2 classes", ("train", "ablate")),
+    ("no_unlabeled", ["gen_train_per_class = 5", "gen_unlabeled_per_outlier = 0"], "gen_labels_per_class",
+     "an empty unlabeled split", ("train", "ablate")),
+    ("no_test_inlier", ["gen_test_per_class = 0"], "gen_test_per_class", "no inlier in the test split",
+     ("train", "ablate")),
+    ("no_seen_outlier", ["gen_n_seen_outlier = 0"], "gen_n_seen_outlier", "no seen outlier in the test split",
+     ("ablate",)),
+]
+
+
+@pytest.mark.parametrize("command,source,lines,key,problem", [
+    pytest.param(command, source, lines, key, problem, id=f"{case}-{source}-{command}")
+    for case, lines, key, problem, commands in UNTRAINABLE_DATA for source in ("gen", "csv") for command in commands
+])
 def test_untrainable_dataset_exits_2_naming_it(tmp_path, capsys, command, source, lines, key, problem):
     """Refused once the data is loaded, before any training or output,
-    naming the spec and a gen_ key, or the CSV."""
+    naming the spec and a gen_ key, or the CSV. train still runs on a test
+    split without seen outliers (TestTrainCmd.test_trains_without_seen_outliers)."""
     gen = GEN_LINES
     for line in lines:
         gen = with_line(gen, line)
