@@ -25,7 +25,7 @@ from typing import get_type_hints
 
 from .data import TAG_INLIER, TAG_SEEN_OUTLIER, AugmentConfig, Dataset, GenConfig, gen_synthetic, load_csv, save_csv
 from .errors import ConfigError, MetricError, NumericError, OpenSetSSLError, ParseError
-from .evaluation import evaluate_params, export_histogram, write_metrics
+from .evaluation import evaluate_params, export_histogram, format_metrics_line, write_metrics
 from .model import load_checkpoint, save_checkpoint
 from .trainer import TrainConfig, TrainHistory, train
 
@@ -246,7 +246,7 @@ def cmd_train(args) -> int:
     dataset = load_spec_dataset(spec, args.config)
     history = _train_and_save(spec, dataset, Path(spec.out_dir))
     final = history.records[-1]
-    print(f"trained {history.steps} steps; final: err_inlier={final.err_inlier:.4f} "
+    print(f"trained {spec.train.e_max * spec.train.i_max} steps; final: err_inlier={final.err_inlier:.4f} "
           f"auroc_seen={_fmt_opt(final.auroc_seen)} auroc_unseen={_fmt_opt(final.auroc_unseen)}")
     print(f"artifacts in {spec.out_dir}: checkpoint.npz metrics.txt resolved.spec")
     return 0
@@ -273,12 +273,7 @@ def cmd_eval(args) -> int:
         raise MetricError(f"{args.data}: test split: {e}") from e
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    parts = [f"err_inlier={repr(result.err_inlier)}"]
-    if result.auroc_seen is not None:
-        parts.append(f"auroc_seen={repr(result.auroc_seen)}")
-    if result.auroc_unseen is not None:
-        parts.append(f"auroc_unseen={repr(result.auroc_unseen)}")
-    line = " ".join(parts)
+    line = format_metrics_line(result, keys=("err_inlier", "auroc_seen", "auroc_unseen"))
     (out_dir / "eval.txt").write_text(line + "\n")
     export_histogram(result.scores, result.is_outlier, args.bins, out_dir / "histogram.csv")
     print(line)

@@ -74,25 +74,13 @@ class TrainView:
     unlabeled_x: np.ndarray
 
 
-@dataclass(eq=False)
+@dataclass
 class Dataset:
     labeled: Split
     unlabeled: Split
     test: Split
     k_classes: int
     d_in: int
-    source: str = ""  # provenance note, excluded from equality
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (
-            self.k_classes == other.k_classes
-            and self.d_in == other.d_in
-            and self.labeled == other.labeled
-            and self.unlabeled == other.unlabeled
-            and self.test == other.test
-        )
 
     def train_view(self) -> TrainView:
         return TrainView(self.labeled.x, self.labeled.y, self.unlabeled.x)
@@ -174,8 +162,8 @@ def _place_centers(cfg: GenConfig, rng: np.random.Generator) -> np.ndarray:
             if len(centers) == n:
                 return np.stack(centers)
     raise GenerationError(
-        f"could not place {n} cluster centers at distance >= {cfg.min_center_distance} "
-        f"within {cfg.max_center_retries} draws; relax the spacing or enlarge center_box"
+        f"could not place {n} cluster centers with min_center_distance {cfg.min_center_distance}, "
+        f"max_center_retries {cfg.max_center_retries} and center_box {cfg.center_box}; relax one of them"
     )
 
 
@@ -208,7 +196,7 @@ def gen_synthetic(cfg: GenConfig, seed: int) -> Dataset:
             blocks.append([(x, np.full(len(x), label), np.full(len(x), tag))
                            for x in np.split(points, np.cumsum(counts)[:-1])])
     ds = Dataset(*(Split(*map(np.concatenate, zip(*split))) for split in zip(*blocks)),
-                 k_classes=cfg.k_classes, d_in=cfg.d_in, source=f"synthetic(seed={seed})")
+                 k_classes=cfg.k_classes, d_in=cfg.d_in)
     ds.validate()
     return ds
 
@@ -365,21 +353,6 @@ def _read_header(fh, path) -> tuple[list[str], int]:
     return header, d_in
 
 
-def _line_bound(path) -> int | None:
-    """A bound on a regular file's body lines, split as newline="" splits
-    them: its \\r\\n, \\n and lone \\r ends (the header has one; a \\r\\n split
-    across blocks counts twice). None for a pipe, which reads only once."""
-    if not os.path.isfile(path):
-        return None
-    bound = 0
-    with open(path, "rb") as fh:
-        while block := fh.read(1 << 16):
-            b = np.frombuffer(block, dtype=np.uint8)
-            lf, cr = b == 10, b == 13
-            bound += np.count_nonzero(lf) + np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & lf[1:])
-    return bound
-
-
 def _bulk_splits(fh, d_in: int, max_rows: int | None) -> list[Split] | None:
     """Parse the rows after the header with one np.loadtxt call, fed a
     chunk of lines (CHUNK_CHARS) at a time. None when a line is not a
@@ -387,9 +360,10 @@ def _bulk_splits(fh, d_in: int, max_rows: int | None) -> list[Split] | None:
     2 + d, unknown role or tag, a label int() rejects), loadtxt declines
     it or a feature is not finite: the row walk then decides.
 
-    max_rows, a bound on the lines, makes loadtxt allocate its array once;
-    grown by reallocation, the array would go where heap layout let it,
-    and peak RSS with it.
+    max_rows, a bound on the rows that load_csv takes from the file's
+    size, makes loadtxt allocate its array once; grown by reallocation,
+    the array would go where heap layout let it, and peak RSS with it.
+    numpy reserves the spare rows but never touches them.
 
     A chunk's total comma count stands in for each line's: usecols makes
     loadtxt refuse a row with too few fields, so with the total right no
@@ -474,7 +448,11 @@ def load_csv(path) -> Dataset:
     try:
         with open(path, newline="") as fh:
             _, d_in = _read_header(fh, path)
-            splits = _bulk_splits(fh, d_in, _line_bound(path))
+            # a row the bulk path takes has 3 + d nonempty fields (loadtxt rejects an empty float, int()
+            # an empty label; role and tag are looked up), 2 + d commas and, unless last, a line end:
+            # n rows take at least n(2d + 6) - 1 bytes. A pipe is read once, without a bound.
+            max_rows = os.path.getsize(path) // (2 * d_in + 6) + 1 if os.path.isfile(path) else None
+            splits = _bulk_splits(fh, d_in, max_rows)
         if splits is None:
             d_in, splits = _walk_rows(path)
     except UnicodeDecodeError as e:
@@ -482,7 +460,7 @@ def load_csv(path) -> Dataset:
     labeled = splits[0]
     if len(labeled) == 0:
         raise ParseError(f"{path}: no labeled rows")
-    ds = Dataset(*splits, k_classes=int(labeled.y.max()) + 1, d_in=d_in, source=f"csv:{path}")
+    ds = Dataset(*splits, k_classes=int(labeled.y.max()) + 1, d_in=d_in)
     try:
         ds.validate()
     except ConfigError as e:

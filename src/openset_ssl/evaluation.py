@@ -177,11 +177,12 @@ def export_histogram(scores: np.ndarray, is_outlier: np.ndarray, bins: int, path
             fh.write(f"{repr(float(edges[i]))},{repr(float(edges[i + 1]))},{inlier_counts[i]},{outlier_counts[i]}\n")
 
 
-def format_metrics_line(record: MetricsRecord) -> str:
-    """Render one record as space-separated key=value pairs in a fixed
-    key order; None-valued AUROCs are omitted."""
+def format_metrics_line(record, keys: tuple[str, ...] = METRICS_KEY_ORDER) -> str:
+    """Render the record's keys, in order, as space-separated key=value
+    pairs; None-valued AUROCs are omitted. keys are MetricsRecord fields;
+    eval passes an EvalResult with its three metric keys."""
     parts = []
-    for key in METRICS_KEY_ORDER:
+    for key in keys:
         value = getattr(record, key)
         if value is None:
             continue

@@ -91,22 +91,19 @@ def init_params(d_in: int, hidden: Sequence[int], k_classes: int, rng: np.random
 
 
 def feature_extract(params: ModelParams, x) -> Tensor:
-    """The extractor MLP on x as one autodiff node.
+    """The extractor MLP on the array x as one autodiff node.
 
     Its forward and backward repeat the generic ops' chain of matmul,
-    bias add and relu, layer by layer. The backward skips the gradient at
-    the raw input unless x itself needs one.
+    bias add and relu, layer by layer. x is data, not a graph node: the
+    node's parents are the parameter tensors only, and the backward
+    stops at the first layer's weights.
     """
-    if not isinstance(x, Tensor):
-        x = Tensor(x)
-    if x.data.ndim != 2 or x.shape[1] != params.d_in:
-        raise DimensionError(f"expected input of shape [B, {params.d_in}], got {x.shape}")
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim != 2 or h.shape[1] != params.d_in:
+        raise DimensionError(f"expected input of shape [B, {params.d_in}], got {h.shape}")
     layers = list(params.extractor)
-    if not layers:
-        return x
     last = len(layers) - 1
     inputs = []  # the input of each layer; after the first, a relu output
-    h = x.data
     for i, (w, b) in enumerate(layers):
         inputs.append(h)
         h = h @ w.data
@@ -119,15 +116,10 @@ def feature_extract(params: ModelParams, x) -> Tensor:
             w, b = layers[i]
             ad.accumulate(b, g.sum(axis=0))
             ad.accumulate(w, inputs[i].T @ g)
-            if i == 0:
-                if x.requires_grad:
-                    ad.accumulate(x, g @ w.data.T)
-                break
-            # relu(z) > 0 exactly where z > 0
-            g = (g @ w.data.T) * (inputs[i] > 0.0)
+            if i:  # relu(z) > 0 exactly where z > 0
+                g = (g @ w.data.T) * (inputs[i] > 0.0)
 
-    parents = [t for layer in layers for t in layer]
-    return ad.make_node(h, parents + [x], backward)
+    return ad.make_node(h, [t for layer in layers for t in layer], backward)
 
 
 def _head(features: Tensor, w: Tensor, b: Tensor, pairs: int | None = None) -> Tensor:

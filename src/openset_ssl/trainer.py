@@ -69,7 +69,6 @@ class TrainConfig:
 class TrainHistory:
     records: list[MetricsRecord]
     k_sizes: list[int]  # pseudo-inlier set size after each epoch (0 before e_fix)
-    steps: int
     final_params: ModelParams
 
 
@@ -117,7 +116,6 @@ def train(dataset: Dataset, config: TrainConfig, initial_pseudo_inliers: np.ndar
 
     records: list[MetricsRecord] = []
     k_sizes: list[int] = []
-    steps = 0
     for epoch in range(1, config.e_max + 1):
         sums = np.zeros(5)  # l_cls, l_ova, l_em, l_oc, l_fm
         consume_pseudo = epoch > config.e_fix
@@ -133,7 +131,6 @@ def train(dataset: Dataset, config: TrainConfig, initial_pseudo_inliers: np.ndar
                 sgd_step(params.flat, gather_grads(tensors, grad), velocity, config.lr, config.momentum)
             except NumericError as e:
                 raise NumericError(f"{e} (epoch {epoch}, iteration {it})") from e
-            steps += 1
             sums += (bd.l_cls, bd.l_ova, bd.l_em, bd.l_oc, bd.l_fm)
 
         if epoch >= config.e_fix:
@@ -159,4 +156,4 @@ def train(dataset: Dataset, config: TrainConfig, initial_pseudo_inliers: np.ndar
                     k_size=k_sizes[-1],
                 )
             )
-    return TrainHistory(records=records, k_sizes=k_sizes, steps=steps, final_params=params)
+    return TrainHistory(records=records, k_sizes=k_sizes, final_params=params)

@@ -99,7 +99,6 @@ def load_csv(path) -> Dataset:
         test=test,
         k_classes=k_classes,
         d_in=d_in,
-        source=f"csv:{path}",
     )
     try:
         ds.validate()

@@ -250,11 +250,13 @@ def test_candidate_warmup_gating():
 def _bench_training(job):
     """One of BENCH_TRAININGS, run in a worker: the job, its final
     auroc_seen and, for the full pipeline, the test-split evaluation. A
-    RuntimeWarning is an error here as it is in the test process."""
+    RuntimeWarning or a deprecation is an error here as it is in the test
+    process."""
     group, seed, overrides = job
     dataset = gen_synthetic(GenConfig(), seed=BENCH_GEN_SEED)
     with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
+        for category in (RuntimeWarning, DeprecationWarning, PendingDeprecationWarning, FutureWarning):
+            warnings.simplefilter("error", category)
         history = train(dataset, TrainConfig(seed=seed, eval_every=30, **overrides))
         result = evaluate_params(history.final_params, dataset.test) if group == "full" else None
     return job, history.records[-1].auroc_seen, result

@@ -856,6 +856,9 @@ OUT_OF_RANGE_SETTINGS = [
     ("gen-data", "gen_n_seen_outlier = -1", "error: n_seen_outlier must be >= 0, got -1\n"),
     ("train", "gen_test_per_class = -1", "error: test_per_class must be >= 0, got -1\n"),
     ("train", "lam_em = -1", "error: lam_em must be >= 0, got -1.0\n"),
+    # centers that cannot be placed: the error names the settings that decide it
+    ("gen-data", "gen_min_center_distance = 100", "min_center_distance 100.0, max_center_retries 10000"),
+    ("train", "gen_max_center_retries = 1", "max_center_retries 1 and center_box 4.0"),
 ]
 
 

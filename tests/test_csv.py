@@ -37,7 +37,7 @@ def outcome(load, path):
         return type(e).__name__, str(e)
     splits = (ds.labeled, ds.unlabeled, ds.test)
     arrays = [(a.dtype.str, a.shape, a.tobytes()) for s in splits for a in (s.x, s.y, s.tag)]
-    return ds.k_classes, ds.d_in, ds.source, arrays
+    return ds.k_classes, ds.d_in, arrays
 
 
 def assert_same_outcome(path):
@@ -226,7 +226,7 @@ def test_plain_file_takes_the_bulk_path(tmp_path, monkeypatch, many_lines):
 
 @pytest.mark.parametrize("line_end", [b"\r\n", b"\n", b"\r"])
 def test_every_line_end_takes_the_bulk_path(tmp_path, monkeypatch, many_lines, line_end):
-    """The line bound never falls short of the rows, so loadtxt reads them all."""
+    """The size bound never falls short of the rows, so loadtxt reads them all."""
     def no_walk(path):
         raise AssertionError("row walk used")
 
@@ -234,10 +234,26 @@ def test_every_line_end_takes_the_bulk_path(tmp_path, monkeypatch, many_lines, l
     path, crlf = tmp_path / "ends.csv", tmp_path / "crlf.csv"
     path.write_bytes(text[:-len(line_end)])  # no line end after the last row
     crlf.write_bytes(b"".join(many_lines))
-    assert data._line_bound(path) == len(many_lines) - 1
-    assert data._line_bound(crlf) == len(many_lines)
     monkeypatch.setattr(data, "_walk_rows", no_walk)
     assert load_csv(path) == load_csv(crlf)
+
+
+@pytest.mark.parametrize("final_end", [True, False], ids=["final_end", "no_final_end"])
+@pytest.mark.parametrize("line_end", [b"\r\n", b"\n", b"\r"], ids=["crlf", "lf", "cr"])
+def test_narrowest_rows_take_the_bulk_path(tmp_path, monkeypatch, line_end, final_end):
+    """At d = 1 the narrowest valid row, test,0,inlier,0, is still wider
+    than the 2d + 6 bytes the size bound allows a row, so a file made of
+    little else loads whole through loadtxt, equal to the reference."""
+    def no_walk(path):
+        raise AssertionError("row walk used")
+
+    lines = [b"role,label,tag,f0", b"labeled,0,inlier,0"] + [b"test,0,inlier,0"] * 3000
+    path = tmp_path / "narrow.csv"
+    path.write_bytes(line_end.join(lines) + (line_end if final_end else b""))
+    want = outcome(reference_csv.load_csv, path)
+    assert want[2][6][1] == (3000, 1)  # the shape of the test split's x
+    monkeypatch.setattr(data, "_walk_rows", no_walk)
+    assert outcome(load_csv, path) == want
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
@@ -250,8 +266,7 @@ def test_pipe_loads_without_a_line_bound(tmp_path):
         os.close(write_end)
         write_end = None
         fifo = f"/dev/fd/{read_end}"
-        assert data._line_bound(fifo) is None
-        assert outcome(load_csv, fifo)[3] == outcome(load_csv, path)[3]
+        assert outcome(load_csv, fifo)[2] == outcome(load_csv, path)[2]
     finally:
         os.close(read_end)
         if write_end is not None:

@@ -160,16 +160,6 @@ def test_clamped_probabilities_match_generic_ops(epoch):
     assert_same_as_reference(params, x, y, u, i_batch, config(params, i_batch), epoch)
 
 
-def test_input_gradient_when_requested():
-    params, x, _, _, _ = setup((5, 3), seed=4)
-    grads_at_x = []
-    for forward in (feature_extract, ref_features):
-        xt = Tensor(x.copy(), requires_grad=True)
-        ref.tensor_sum(ref.square(forward(params, xt))).backward()
-        grads_at_x.append(xt.grad)
-    assert np.array_equal(grads_at_x[0], grads_at_x[1])
-
-
 def reachable(root):
     """The tensors reachable from root through _parents, root included."""
     seen, stack = {id(root): root}, [root]
