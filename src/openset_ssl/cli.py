@@ -25,7 +25,7 @@ from typing import get_type_hints
 
 from .data import TAG_INLIER, TAG_SEEN_OUTLIER, AugmentConfig, Dataset, GenConfig, gen_synthetic, load_csv, save_csv
 from .errors import ConfigError, MetricError, NumericError, OpenSetSSLError, ParseError
-from .evaluation import evaluate_params, export_histogram, format_metrics_line, write_metrics
+from .evaluation import evaluate_params, export_histogram, format_metrics_line, histogram_edges, write_metrics
 from .model import load_checkpoint, save_checkpoint
 from .trainer import TrainConfig, TrainHistory, train
 
@@ -257,8 +257,10 @@ def _fmt_opt(value: float | None) -> str:
 
 
 def cmd_eval(args) -> int:
-    if args.bins < 1:
-        raise ConfigError(f"bins must be >= 1, got {args.bins}")
+    try:
+        edges = histogram_edges(args.bins)
+    except (MemoryError, ValueError) as e:
+        raise ConfigError(f"--bins {args.bins} is too large: {e}") from e
     params, _ = load_checkpoint(args.checkpoint)
     dataset = load_csv(args.data)
     if dataset.d_in != params.d_in:
@@ -275,7 +277,7 @@ def cmd_eval(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     line = format_metrics_line(result, keys=("err_inlier", "auroc_seen", "auroc_unseen"))
     (out_dir / "eval.txt").write_text(line + "\n")
-    export_histogram(result.scores, result.is_outlier, args.bins, out_dir / "histogram.csv")
+    export_histogram(result.scores, result.is_outlier, edges, out_dir / "histogram.csv")
     print(line)
     return 0
 

@@ -7,14 +7,15 @@ evaluation. The trainer works through train_view(), which exposes labeled
 vectors with labels and unlabeled vectors without their tags.
 gen_synthetic draws all three splits from one table with a row per cluster.
 
-The CSV is written one f-string per row (the bytes csv.writer gives), on
-two cores where os.fork exists: a forked child formats the second half of
-the rows into an anonymous temp file that is appended to the first half,
-so the output has the same bytes as a one-process write and the child's
-memory is not in this process's ru_maxrss. It is read with one
-np.loadtxt call; a file that call does not take goes through a csv.reader
-row walk, which decides and names path:line for a bad row, the physical
-line the row starts on (a quoted field may span lines).
+The CSV is written one f-string per row (the bytes csv.writer gives) and
+read with np.loadtxt, each on two cores where os.fork exists: a forked
+child takes the second half of the rows (writing) or of the body's bytes
+(reading) and hands its part back through an anonymous temp file, so the
+output has the same bytes, and the dataset the same arrays, as one
+process gives, and the child's memory is not in this process's ru_maxrss.
+A file the bulk reader does not take goes through a csv.reader row walk
+of the whole file, which decides and names path:line for a bad row, the
+physical line the row starts on (a quoted field may span lines).
 The bulk reader checks the body a chunk of lines at a time: one scan of
 the chunk's text for quotes and controls, one comma count for all its
 lines, and, for a chunk whose lines share one role,label,tag head (rows
@@ -24,13 +25,15 @@ come in such runs), one parse of that head.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import shutil
 import tempfile
 import warnings
 from array import array
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -269,36 +272,53 @@ def _write_rows(fh, splits, start: int, stop: int) -> None:
         start, stop = start - len(split), stop - len(split)
 
 
-def _write_halves(fh, splits, n: int, path) -> None:
-    """Write body rows 0..n-1 into fh on two cores: a forked child formats
-    the second half into an anonymous temp file while this process formats
-    the first half into fh; then the child is reaped and its file appended
-    in buffer-sized copies."""
-    half = n // 2
-    with tempfile.TemporaryFile("w+", newline="", encoding=fh.encoding) as tmp:
+@contextmanager
+def _two_processes(child, parent, path, what: str):
+    """Run child(tmp) in a forked process while this one runs parent();
+    yield parent()'s result and tmp, an anonymous binary temp file holding
+    what the child wrote, rewound. The child is reaped on every path, and
+    OSError names path when it did not exit 0.
+
+    The child leaves only through os._exit: it flushes none of the stdio
+    buffers it inherited and runs none of the caller's finally or atexit
+    code. It only formats or parses text, so it needs nothing that a BLAS
+    thread of this process could hold at the fork."""
+    with tempfile.TemporaryFile() as tmp:
         pid = os.fork()
         if pid == 0:
-            # the child leaves only through os._exit: it flushes none of the
-            # stdio buffers it inherited and runs none of the caller's finally
-            # or atexit code. It only formats text, so it needs nothing that
-            # a BLAS thread of this process could hold at the fork.
             code = 1
             try:
-                _write_rows(tmp, splits, half, n)
+                child(tmp)
                 tmp.flush()
                 code = 0
             finally:
                 os._exit(code)
         try:
-            _write_rows(fh, splits, 0, half)
+            result = parent()
         finally:
             status = os.waitpid(pid, 0)[1]
         if status != 0:
-            raise OSError(f"{path}: the process writing rows {half + 1}..{n} failed "
+            raise OSError(f"{path}: the process {what} failed "
                           f"(exit status {os.waitstatus_to_exitcode(status)})")
-        fh.flush()
         tmp.seek(0)
-        shutil.copyfileobj(tmp.buffer, fh.buffer)
+        yield result, tmp
+
+
+def _write_halves(fh, splits, n: int, path) -> None:
+    """Write body rows 0..n-1 into fh on two cores: a forked child formats
+    the second half while this process formats the first half into fh;
+    then the child's text is appended in buffer-sized copies."""
+    half = n // 2
+
+    def child(tmp):
+        text = io.TextIOWrapper(tmp, encoding=fh.encoding, newline="")
+        _write_rows(text, splits, half, n)
+        text.detach()  # flushes; the wrapper must not close tmp when it goes
+
+    with _two_processes(child, lambda: _write_rows(fh, splits, 0, half), path,
+                        f"writing rows {half + 1}..{n}") as (_, tmp):
+        fh.flush()
+        shutil.copyfileobj(tmp, fh.buffer)
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -360,9 +380,9 @@ def _bulk_splits(fh, d_in: int, max_rows: int | None) -> list[Split] | None:
     2 + d, unknown role or tag, a label int() rejects), loadtxt declines
     it or a feature is not finite: the row walk then decides.
 
-    max_rows, a bound on the rows that load_csv takes from the file's
-    size, makes loadtxt allocate its array once; grown by reallocation,
-    the array would go where heap layout let it, and peak RSS with it.
+    max_rows, a bound from _max_rows on the rows in fh, makes loadtxt
+    allocate its array once; grown by reallocation, the array would go
+    where heap layout let it, and peak RSS with it.
     numpy reserves the spare rows but never touches them.
 
     A chunk's total comma count stands in for each line's: usecols makes
@@ -408,6 +428,102 @@ def _bulk_splits(fh, d_in: int, max_rows: int | None) -> list[Split] | None:
     return [Split(x[role == code], y[role == code], tag[role == code]) for code in range(len(ROLE_NAMES))]
 
 
+def _max_rows(n_bytes: int, d_in: int) -> int:
+    """A bound on the rows the bulk path takes from n_bytes of the file.
+    Such a row has 3 + d nonempty fields (loadtxt rejects an empty float,
+    int() an empty label; role and tag are looked up), 2 + d commas and,
+    unless last, a line end: n rows take at least n(2d + 6) - 1 bytes."""
+    return n_bytes // (2 * d_in + 6) + 1
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes start..stop of the file at path, as a raw stream."""
+
+    def __init__(self, path, start: int, stop: int):
+        self._raw = open(path, "rb", buffering=0)
+        self._raw.seek(start)
+        self._left = stop - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, b) -> int:
+        n = self._raw.readinto(memoryview(b)[:self._left])
+        self._left -= n
+        return n
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
+
+
+def _line_end_from(raw, pos: int) -> int:
+    """The offset just past the first line end at or after byte pos of the
+    binary file raw, or its size if none: a CR LF, LF or bare CR, the line
+    ends readlines() sees with newline=""."""
+    raw.seek(pos)
+    while block := raw.read(CHUNK_CHARS):
+        ends = [i for i in (block.find(b"\r"), block.find(b"\n")) if i >= 0]
+        if ends:
+            end = pos + min(ends) + 1
+            raw.seek(end - 1)
+            return end + 1 if raw.read(2) == b"\r\n" else end
+        pos += len(block)
+    return pos
+
+
+def _halves(path) -> tuple[int, int, int] | None:
+    """(start, split, stop): the body is bytes start..stop of the file, and
+    split lies just past the first line end at or after its middle byte.
+    None when no line starts after that line end (a one-line body)."""
+    with open(path, "rb") as raw:
+        start = _line_end_from(raw, 0)  # a header that _read_header takes is one line
+        stop = raw.seek(0, os.SEEK_END)
+        split = _line_end_from(raw, (start + stop) // 2)
+    return (start, split, stop) if split < stop else None
+
+
+def _bulk_halves(path, d_in: int, encoding: str, start: int, split: int, stop: int) -> list[Split] | None:
+    """_bulk_splits on body bytes start..split here and split..stop in a
+    forked child, each half with its own line bound, joined role by role,
+    this process's rows first. None when either half is not plain rows.
+
+    The child writes the three row counts (-1 for not plain rows), then
+    each role's x, label and tag arrays; they are read straight into the
+    joined arrays."""
+    def bulk(lo: int, hi: int) -> list[Split] | None:
+        with io.TextIOWrapper(io.BufferedReader(_ByteRange(path, lo, hi)), encoding=encoding,
+                              newline="") as text:
+            return _bulk_splits(text, d_in, _max_rows(hi - lo, d_in))
+
+    def child(tmp):
+        theirs = bulk(split, stop)
+        tmp.write(np.array([-1] * 3 if theirs is None else [len(s) for s in theirs], dtype=np.int64).data)
+        for s in theirs or ():
+            for a in (s.x, s.y, s.tag):
+                tmp.write(a.data)
+
+    def read_into(tmp, a):
+        if tmp.readinto(a) != a.nbytes:
+            raise OSError(f"{path}: the rows after byte {split} came back short")
+
+    with _two_processes(child, lambda: bulk(start, split), path, f"reading bytes {split}..{stop}") as (mine, tmp):
+        counts = np.empty(3, dtype=np.int64)
+        read_into(tmp, counts)
+        if mine is None or counts[0] < 0:
+            return None
+        joined = []
+        for s, n in zip(mine, counts.tolist()):
+            arrays = []
+            for a in (s.x, s.y, s.tag):
+                out = np.empty((len(a) + n, *a.shape[1:]), dtype=a.dtype)
+                out[:len(a)] = a
+                read_into(tmp, out[len(a):])
+                arrays.append(out)
+            joined.append(Split(*arrays))
+        return joined
+
+
 def _walk_rows(path) -> tuple[int, list[Split]]:
     """Walk the file with csv.reader row by row: raises the first bad
     line's path:line message, then the first non-finite feature's."""
@@ -444,15 +560,24 @@ def _walk_rows(path) -> tuple[int, list[Split]]:
 
 
 def load_csv(path) -> Dataset:
-    """Read a dataset CSV: the bulk parse, else the csv.reader row walk."""
+    """Read a dataset CSV: the bulk parse, else the csv.reader row walk.
+
+    A regular file whose body has a line end at or after its middle byte
+    is parsed on two cores where os.fork exists: this process takes the
+    body up to the first such line end and a forked child the rest. A
+    half that is not plain rows sends the whole file to the row walk, so
+    every message and its path:line are those of a one-process read, and
+    the dataset has the same arrays. A pipe is read once, without a line
+    bound."""
     try:
         with open(path, newline="") as fh:
             _, d_in = _read_header(fh, path)
-            # a row the bulk path takes has 3 + d nonempty fields (loadtxt rejects an empty float, int()
-            # an empty label; role and tag are looked up), 2 + d commas and, unless last, a line end:
-            # n rows take at least n(2d + 6) - 1 bytes. A pipe is read once, without a bound.
-            max_rows = os.path.getsize(path) // (2 * d_in + 6) + 1 if os.path.isfile(path) else None
-            splits = _bulk_splits(fh, d_in, max_rows)
+            halves = _halves(path) if os.path.isfile(path) and hasattr(os, "fork") else None
+            if halves is not None:
+                splits = _bulk_halves(path, d_in, fh.encoding, *halves)
+            else:
+                max_rows = _max_rows(os.path.getsize(path), d_in) if os.path.isfile(path) else None
+                splits = _bulk_splits(fh, d_in, max_rows)
         if splits is None:
             d_in, splits = _walk_rows(path)
     except UnicodeDecodeError as e:

@@ -157,23 +157,28 @@ def evaluate_params(params: ModelParams, test: Split) -> EvalResult:
                       scores=scores, is_outlier=is_outlier)
 
 
-def export_histogram(scores: np.ndarray, is_outlier: np.ndarray, bins: int, path) -> None:
-    """Write per-bin inlier and outlier counts over [0, 1] to a CSV.
-
-    Bins are uniform and half-open except the last, which includes 1.0.
-    """
+def histogram_edges(bins: int) -> np.ndarray:
+    """bins + 1 uniform edges over [0, 1]. MemoryError or ValueError when
+    numpy cannot allocate them."""
     if bins < 1:
         raise ConfigError(f"bins must be >= 1, got {bins}")
+    return np.linspace(0.0, 1.0, bins + 1)
+
+
+def export_histogram(scores: np.ndarray, is_outlier: np.ndarray, edges: np.ndarray, path) -> None:
+    """Write per-bin inlier and outlier counts over edges to a CSV.
+
+    Bins are half-open except the last, which includes its upper edge.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     is_outlier = np.asarray(is_outlier, dtype=bool)
     if scores.shape != is_outlier.shape:
         raise ConfigError("scores and outlier flags must align")
-    edges = np.linspace(0.0, 1.0, bins + 1)
     inlier_counts, _ = np.histogram(scores[~is_outlier], bins=edges)
     outlier_counts, _ = np.histogram(scores[is_outlier], bins=edges)
     with open(path, "w") as fh:
         fh.write("bin_low,bin_high,inlier_count,outlier_count\n")
-        for i in range(bins):
+        for i in range(len(edges) - 1):
             fh.write(f"{repr(float(edges[i]))},{repr(float(edges[i + 1]))},{inlier_counts[i]},{outlier_counts[i]}\n")
 
 

@@ -34,7 +34,7 @@ from openset_ssl.data import (
     load_csv,
     save_csv,
 )
-from openset_ssl.evaluation import auroc, evaluate_params, export_histogram
+from openset_ssl.evaluation import auroc, evaluate_params, export_histogram, histogram_edges
 from openset_ssl.losses import loss_all, loss_cls, loss_em, loss_ova
 from openset_ssl.model import init_params, load_checkpoint, save_checkpoint
 from openset_ssl.trainer import TrainConfig, train
@@ -326,7 +326,7 @@ def test_full_pipeline_separates_outliers(bench_trainings, tmp_path):
         assert result.err_inlier <= 0.10, f"seed {seed}: err_inlier {result.err_inlier:.3f}"
 
     hist_path = tmp_path / "histogram.csv"
-    export_histogram(final.scores, final.is_outlier, bins=20, path=hist_path)
+    export_histogram(final.scores, final.is_outlier, histogram_edges(20), hist_path)
     rows = [line.split(",") for line in hist_path.read_text().splitlines()[1:]]
     inlier_low = sum(int(r[2]) for r in rows if float(r[1]) <= 0.5)
     outlier_low = sum(int(r[3]) for r in rows if float(r[1]) <= 0.5)

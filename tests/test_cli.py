@@ -398,6 +398,16 @@ class TestEvalCmd:
         assert "bins must be >= 1" in capsys.readouterr().err
         assert not (out / "eval.txt").exists()
 
+    def test_unallocatable_bins_exit_2_before_anything_is_read(self, tmp_path, capsys):
+        """8 TB of edges: numpy refuses the allocation at once. Neither input
+        exists, so reading either would fail with another message."""
+        out = tmp_path / "ev"
+        code = main(["eval", "--checkpoint", str(tmp_path / "none.npz"), "--data", str(tmp_path / "none.csv"),
+                     "--out", str(out), "--bins", str(10**12)])
+        assert code == 2
+        assert f"--bins {10**12} is too large" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unseen_token_omitted_when_absent(self, tmp_path):
         spec = write_spec(
             tmp_path,

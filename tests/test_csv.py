@@ -1,9 +1,12 @@
 """Dataset CSV: the bulk writer and reader against the row-at-a-time
 csv.writer / csv.reader reference in reference_csv.py. The writer must
 give byte-identical files; for any text, the reader must give the same
-dataset bit for bit or raise the same error."""
+dataset bit for bit or raise the same error, on the forked two-process
+read and on the one-process read alike."""
 
+import gc
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_csv
-from openset_ssl import data
+from openset_ssl import cli, data
 from openset_ssl.data import (
     Dataset,
     GenConfig,
@@ -22,6 +25,7 @@ from openset_ssl.data import (
     load_csv,
     save_csv,
 )
+from openset_ssl.model import init_params, save_checkpoint
 
 TINY = GenConfig(k_classes=2, n_seen_outlier=1, n_unseen_outlier=1, d_in=2, train_per_class=4,
                  labels_per_class=2, unlabeled_per_outlier=2, test_per_class=2, test_per_outlier=2,
@@ -40,10 +44,40 @@ def outcome(load, path):
     return ds.k_classes, ds.d_in, arrays
 
 
-def assert_same_outcome(path):
+def outcome_both_ways(path):
+    """outcome(load_csv, path) where os.fork exists, checked equal to the
+    one-process read's (os.fork removed)."""
     got = outcome(load_csv, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delattr(os, "fork")
+        assert outcome(load_csv, path) == got
+    return got
+
+
+def assert_same_outcome(path):
+    got = outcome_both_ways(path)
     assert got == outcome(reference_csv.load_csv, path)
     return got
+
+
+def record_forks(monkeypatch):
+    """The pids of the children os.fork makes from now on in this test."""
+    forked = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
+
+
+def assert_reaped(forked):
+    for pid in forked:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def write_both(ds, tmp_path):
@@ -110,14 +144,7 @@ class TestWriter:
     def test_failed_write_leaves_no_file_and_no_child(self, tmp_path, monkeypatch, bad_row, fork):
         forked = []
         if fork:
-            real_fork = os.fork
-
-            def recording_fork():
-                pid = real_fork()
-                forked.append(pid)
-                return pid
-
-            monkeypatch.setattr(os, "fork", recording_fork)
+            forked = record_forks(monkeypatch)
         else:
             monkeypatch.delattr(os, "fork")
         ds = with_rows(gen_synthetic(TINY, seed=0), (4, 2, 2))
@@ -130,10 +157,8 @@ class TestWriter:
         assert not path.exists()
         if in_child:
             assert str(path) in str(info.value)
-        if fork:
-            assert len(forked) == 1
-            with pytest.raises(ChildProcessError):
-                os.waitpid(forked[0], os.WNOHANG)
+        assert len(forked) == fork
+        assert_reaped(forked)
         with pytest.raises(IsADirectoryError):  # the output is opened before anything forks
             save_csv(ds, tmp_path)
         assert len(forked) == fork
@@ -162,6 +187,8 @@ LOADS_LIKE = [
     ("spaces_around_float", BASE.replace(",1.5,", ", 1.5 ,"), BASE),
     # float() takes 1_0, loadtxt does not: the row walk accepts it
     ("underscore_float", BASE.replace(",7.0,", ",7_0,"), BASE.replace(",7.0,", ",70.0,")),
+    # the forked read splits the body inside this quoted field (test_split_points_of_the_cases)
+    ("quoted_line_end_at_the_split", BASE.replace(",4.0,", ',"4.0\r\n",'), BASE),
 ]
 
 # name, edited text, the message it is rejected with
@@ -195,7 +222,7 @@ def test_named_case_loads_as_reference(tmp_path, name, text, like):
     path.write_text(text, newline="")
     plain.write_text(like, newline="")
     assert assert_same_outcome(path)[0] == 2
-    assert load_csv(path) == load_csv(plain)
+    assert outcome_both_ways(path) == outcome_both_ways(plain)
 
 
 @pytest.mark.parametrize("name,text,message", REJECTED, ids=[c[0] for c in REJECTED])
@@ -217,8 +244,11 @@ def test_plain_file_takes_the_bulk_path(tmp_path, monkeypatch, many_lines):
     shuffled.write_bytes(b"".join(shuffle_rows(many_lines)))
     want = outcome(reference_csv.load_csv, shuffled)
     monkeypatch.setattr(data, "_walk_rows", no_walk)
+    forked = record_forks(monkeypatch)
     assert load_csv(path) == ds
-    assert outcome(load_csv, shuffled) == want
+    assert outcome_both_ways(shuffled) == want
+    assert len(forked) == 2
+    assert_reaped(forked)
     path.write_text(path.read_text().replace(",inlier,", ',"inlier",', 1))
     with pytest.raises(AssertionError, match="row walk used"):
         load_csv(path)
@@ -235,7 +265,7 @@ def test_every_line_end_takes_the_bulk_path(tmp_path, monkeypatch, many_lines, l
     path.write_bytes(text[:-len(line_end)])  # no line end after the last row
     crlf.write_bytes(b"".join(many_lines))
     monkeypatch.setattr(data, "_walk_rows", no_walk)
-    assert load_csv(path) == load_csv(crlf)
+    assert outcome_both_ways(path) == outcome_both_ways(crlf)
 
 
 @pytest.mark.parametrize("final_end", [True, False], ids=["final_end", "no_final_end"])
@@ -253,7 +283,7 @@ def test_narrowest_rows_take_the_bulk_path(tmp_path, monkeypatch, line_end, fina
     want = outcome(reference_csv.load_csv, path)
     assert want[2][6][1] == (3000, 1)  # the shape of the test split's x
     monkeypatch.setattr(data, "_walk_rows", no_walk)
-    assert outcome(load_csv, path) == want
+    assert outcome_both_ways(path) == want
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
@@ -324,8 +354,11 @@ def set_field(line: bytes, i: int, value: bytes) -> bytes:
 
 
 # name, {row: edit of that line}, the end of the message it is rejected with or None if it loads.
-# Rows 3500 and 3501 lie inside a chunk whose lines are all test,-1,seen_outlier rows.
+# Rows 3500 and 3501 lie inside a chunk whose lines are all test,-1,seen_outlier rows. The forked
+# read parses row 1000 in this process and rows 3500 and on in its child (test_split_points_of_the_cases).
 MANY_EDITS = [
+    ("bad_label_in_the_first_half", {1000: lambda s: set_field(s, 1, b"1.5")},
+     "many.csv:1001: invalid literal for int() with base 10: '1.5'"),
     ("head_changes_inside_a_run", {3500: lambda s: s.replace(b",seen_", b",unseen_")}, None),
     ("role_changes_inside_a_run", {3500: lambda s: s.replace(b"test,", b"unlabeled,")}, None),
     ("label_spelled_differently", {3500: lambda s: s.replace(b",-1,", b",-01,")}, None),
@@ -358,6 +391,56 @@ def test_many_chunks_edited_as_reference(tmp_path, many_lines, name, edits, mess
         assert got[:2] == (4, 4)
     else:
         assert got[0] == "ParseError" and got[1].endswith(message)
+
+
+def test_split_points_of_the_cases(tmp_path, many_lines):
+    """Where the named cases above put the forked read's split."""
+    text = dict((name, text) for name, text, _ in LOADS_LIKE)["quoted_line_end_at_the_split"]
+    path = tmp_path / "quoted.csv"
+    path.write_text(text, newline="")
+    assert data._halves(path)[1] == text.index('"4.0\r\n"') + len('"4.0\r\n')
+    path = tmp_path / "many.csv"
+    path.write_bytes(b"".join(many_lines))
+    assert len(b"".join(many_lines[:1001])) < data._halves(path)[1] < len(b"".join(many_lines[:3500]))
+
+
+@pytest.mark.parametrize("final_end", [True, False], ids=["final_end", "no_final_end"])
+@pytest.mark.parametrize("row", [b"labeled,0,inlier,1.5", b"labeled,0,inlier,x"], ids=["plain", "bad"])
+def test_one_row_body_reads_in_one_process(tmp_path, monkeypatch, row, final_end):
+    forked = record_forks(monkeypatch)
+    path = tmp_path / "one.csv"
+    path.write_bytes(b"role,label,tag,f0\r\n" + row + (b"\r\n" if final_end else b""))
+    got = assert_same_outcome(path)
+    assert got[:2] == (1, 1) or got[1].endswith("one.csv:2: could not convert string to float: 'x'")
+    assert forked == []
+
+
+def test_failed_read_leaves_no_child(tmp_path, monkeypatch, capsys):
+    """A child that does not exit 0 fails load_csv and eval with an OSError
+    naming the file, and is reaped."""
+    path, ckpt = tmp_path / "data.csv", tmp_path / "ckpt.npz"
+    save_csv(gen_synthetic(TINY, seed=0), path)
+    save_checkpoint(ckpt, init_params(TINY.d_in, (4,), TINY.k_classes, np.random.default_rng(0)))
+    parent, bulk = os.getpid(), data._bulk_splits
+
+    def failing_in_child(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("the child fails")
+        return bulk(*args)
+
+    monkeypatch.setattr(data, "_bulk_splits", failing_in_child)
+    forked = record_forks(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises(OSError, match="the process reading bytes .* failed \\(exit status 1\\)") as info:
+            load_csv(path)
+        assert str(path) in str(info.value)
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(path), "--out", str(tmp_path / "ev")]) == 2
+        assert f"error: {path}: the process reading bytes" in capsys.readouterr().err
+        gc.collect()
+    assert len(forked) == 2
+    assert_reaped(forked)
 
 
 TOKENS = [b",", b'"', b"\r\n", b"\n", b"\r", b"#", b"_", b" ", b"\t", b".", b"-", b"+", b"e", b"0", b"7",

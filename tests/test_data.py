@@ -2,6 +2,7 @@
 sampling, and exact CSV round-trips."""
 
 import hashlib
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -370,6 +371,19 @@ class TestCsv:
                 load_csv(path)
 
         assert traced_peak_bytes(load) < 4 << 20
+
+    def test_forked_read_peaks_no_higher_than_one_process(self, tmp_path, monkeypatch):
+        """The forked read's parent holds half the rows while it parses and
+        1.5 times them while it joins, against all of them twice in one process."""
+        path = tmp_path / "data.csv"
+        save_csv(gen_synthetic(replace(SMALL, test_per_class=2000, test_per_outlier=2000), seed=0), path)
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        forked = traced_peak_bytes(lambda: load_csv(path))
+        assert forks == [1]
+        monkeypatch.delattr(os, "fork")
+        assert forked <= traced_peak_bytes(lambda: load_csv(path))
 
     def test_outlier_with_class_label_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

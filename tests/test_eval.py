@@ -33,6 +33,7 @@ from openset_ssl.evaluation import (
     evaluate_params,
     export_histogram,
     format_metrics_line,
+    histogram_edges,
     predict_open,
     score_block_rows,
     write_metrics,
@@ -379,13 +380,13 @@ class TestHistogram:
         scores = rng.random(200)
         flags = rng.random(200) < 0.4
         path = tmp_path / "hist.csv"
-        export_histogram(scores, flags, 20, path)
+        export_histogram(scores, flags, histogram_edges(20), path)
         _, _, inl, out = self.read(path)
         assert inl.sum() == (~flags).sum() and out.sum() == flags.sum()
 
     def test_point_mass_lands_in_one_bin(self, tmp_path):
         path = tmp_path / "hist.csv"
-        export_histogram(np.full(7, 0.5), np.zeros(7, dtype=bool), 20, path)
+        export_histogram(np.full(7, 0.5), np.zeros(7, dtype=bool), histogram_edges(20), path)
         low, high, inl, out = self.read(path)
         assert inl[10] == 7 and inl.sum() == 7
         assert low[10] == 0.5 and high[10] == pytest.approx(0.55)
@@ -393,22 +394,22 @@ class TestHistogram:
 
     def test_score_one_falls_in_last_bin(self, tmp_path):
         path = tmp_path / "hist.csv"
-        export_histogram(np.array([1.0, 0.0]), np.array([True, False]), 10, path)
+        export_histogram(np.array([1.0, 0.0]), np.array([True, False]), histogram_edges(10), path)
         _, _, inl, out = self.read(path)
         assert out[-1] == 1 and inl[0] == 1
 
     def test_edges_span_unit_interval(self, tmp_path):
         path = tmp_path / "hist.csv"
-        export_histogram(np.array([0.3]), np.array([False]), 4, path)
+        export_histogram(np.array([0.3]), np.array([False]), histogram_edges(4), path)
         low, high, _, _ = self.read(path)
         assert low[0] == 0.0 and high[-1] == 1.0
         np.testing.assert_allclose(low[1:], high[:-1], rtol=0, atol=0)
 
     def test_invalid_inputs_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
-            export_histogram(np.array([0.5]), np.array([True]), 0, tmp_path / "h.csv")
+            histogram_edges(0)
         with pytest.raises(ConfigError):
-            export_histogram(np.array([0.5, 0.6]), np.array([True]), 5, tmp_path / "h.csv")
+            export_histogram(np.array([0.5, 0.6]), np.array([True]), histogram_edges(5), tmp_path / "h.csv")
 
 
 class TestMetricsText:
