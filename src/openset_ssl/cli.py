@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -49,7 +50,7 @@ def parse_kv_file(path) -> dict[str, str]:
     """Read `key = value` lines; blank lines and #-comments are skipped."""
     result: dict[str, str] = {}
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ParseError(f"cannot read config {path}: {e}") from e
     except UnicodeDecodeError as e:
@@ -161,7 +162,7 @@ def resolve_spec(path, seed_override: int | None = None, out_override: str | Non
     return ExperimentSpec(
         train=train_cfg,
         out_dir=str(out_dir),
-        data_csv=str((base / data_csv).resolve()) if data_csv else None,
+        data_csv=os.path.abspath(base / data_csv) if data_csv else None,
         gen=gen_cfg,
         gen_seed=gen_seed,
     )
@@ -221,7 +222,7 @@ def _train_and_save(spec: ExperimentSpec, dataset: Dataset, out_dir: Path) -> Tr
     out_dir.mkdir(parents=True, exist_ok=True)
     history = train(dataset, spec.train)
     pairs = snapshot_pairs(replace(spec, out_dir=str(out_dir)))
-    (out_dir / "resolved.spec").write_text(_kv_text(pairs))
+    (out_dir / "resolved.spec").write_text(_kv_text(pairs), encoding="utf-8")
     save_checkpoint(out_dir / "checkpoint.npz", history.final_params, config=dict(pairs))
     write_metrics(out_dir / "metrics.txt", history.records)
     return history
@@ -276,7 +277,7 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     line = format_metrics_line(result, keys=("err_inlier", "auroc_seen", "auroc_unseen"))
-    (out_dir / "eval.txt").write_text(line + "\n")
+    (out_dir / "eval.txt").write_text(line + "\n", encoding="utf-8")
     export_histogram(result.scores, result.is_outlier, edges, out_dir / "histogram.csv")
     print(line)
     return 0
@@ -296,7 +297,7 @@ def cmd_ablate(args) -> int:
         history = _train_and_save(variant, dataset, out_dir / name)
         rows.append((name, spec.train.seed, lam_oc, history.records[-1].auroc_seen))
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "ablation.csv", "w") as fh:
+    with open(out_dir / "ablation.csv", "w", encoding="utf-8") as fh:
         fh.write("variant,seed,lam_oc,auroc_seen\n")
         for name, seed, lam_oc, score in rows:
             fh.write(f"{name},{seed},{repr(lam_oc)},{repr(score)}\n")

@@ -8,14 +8,15 @@ vectors with labels and unlabeled vectors without their tags.
 gen_synthetic draws all three splits from one table with a row per cluster.
 
 The CSV is written one f-string per row (the bytes csv.writer gives) and
-read with np.loadtxt, each on two cores where os.fork exists: a forked
-child takes the second half of the rows (writing) or of the body's bytes
-(reading) and hands its part back through an anonymous temp file, so the
-output has the same bytes, and the dataset the same arrays, as one
-process gives, and the child's memory is not in this process's ru_maxrss.
-A file the bulk reader does not take goes through a csv.reader row walk
-of the whole file, which decides and names path:line for a bad row, the
-physical line the row starts on (a quoted field may span lines).
+read with np.loadtxt, each in two parts through _two_processes: a forked
+child takes the second half of the rows (writing) or of a regular file's
+body bytes (reading) and hands it back through an anonymous temp file,
+so its memory is not in this process's ru_maxrss; without os.fork both
+parts run here, with the same bytes and arrays. Any other input (a pipe,
+a one-row body, a part the bulk reader declines) goes to a csv.reader
+walk of the whole file, opened once, which decides and names path:line
+for a bad row, the physical line it starts on (a quoted field may span
+lines).
 The bulk reader checks the body a chunk of lines at a time: one scan of
 the chunk's text for quotes and controls, one comma count for all its
 lines, and, for a chunk whose lines share one role,label,tag head (rows
@@ -277,14 +278,15 @@ def _two_processes(child, parent, path, what: str):
     """Run child(tmp) in a forked process while this one runs parent();
     yield parent()'s result and tmp, an anonymous binary temp file holding
     what the child wrote, rewound. The child is reaped on every path, and
-    OSError names path when it did not exit 0.
+    OSError names path when it did not exit 0. Without os.fork, parent()
+    and then child(tmp) run here: a first-part error is still the one raised.
 
     The child leaves only through os._exit: it flushes none of the stdio
     buffers it inherited and runs none of the caller's finally or atexit
     code. It only formats or parses text, so it needs nothing that a BLAS
     thread of this process could hold at the fork."""
     with tempfile.TemporaryFile() as tmp:
-        pid = os.fork()
+        pid = os.fork() if hasattr(os, "fork") else None
         if pid == 0:
             code = 1
             try:
@@ -296,22 +298,24 @@ def _two_processes(child, parent, path, what: str):
         try:
             result = parent()
         finally:
-            status = os.waitpid(pid, 0)[1]
+            status = 0 if pid is None else os.waitpid(pid, 0)[1]
         if status != 0:
             raise OSError(f"{path}: the process {what} failed "
                           f"(exit status {os.waitstatus_to_exitcode(status)})")
+        if pid is None:
+            child(tmp)
         tmp.seek(0)
         yield result, tmp
 
 
 def _write_halves(fh, splits, n: int, path) -> None:
-    """Write body rows 0..n-1 into fh on two cores: a forked child formats
-    the second half while this process formats the first half into fh;
-    then the child's text is appended in buffer-sized copies."""
+    """Write body rows 0..n-1 into fh through _two_processes: the child
+    formats the second half while this process formats the first half
+    into fh; then the child's text is appended in buffer-sized copies."""
     half = n // 2
 
     def child(tmp):
-        text = io.TextIOWrapper(tmp, encoding=fh.encoding, newline="")
+        text = io.TextIOWrapper(tmp, encoding="utf-8", newline="")
         _write_rows(text, splits, half, n)
         text.detach()  # flushes; the wrapper must not close tmp when it goes
 
@@ -326,22 +330,19 @@ def save_csv(ds: Dataset, path) -> None:
     bytes csv.writer gives (no field ever needs quoting); floats use repr
     so the text round-trips to the identical float64 values.
 
-    The body is written on two cores where os.fork exists: a forked child
-    formats the second half of the rows (counted across the splits) into
-    an anonymous temp file, which is appended to the first half, so the
-    file has the same bytes as a one-process write and the child's memory
-    is not in this process's ru_maxrss. If writing fails, a regular output
-    file is removed: the first half ends on a row boundary and would load
-    as a shorter dataset."""
+    The body is written by _write_halves: a forked child (this process,
+    after the first half, without os.fork) formats the second half of the
+    rows (counted across the splits) into an anonymous temp file, which is
+    appended to the first half, so the file has the same bytes either way
+    and a forked child's memory is not in this process's ru_maxrss. If
+    writing fails, a regular output file is removed: the first half ends
+    on a row boundary and would load as a shorter dataset."""
     splits = (ds.labeled, ds.unlabeled, ds.test)
     n = sum(map(len, splits))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         try:
             fh.write(",".join(["role", "label", "tag"] + [f"f{i}" for i in range(ds.d_in)]) + "\r\n")
-            if hasattr(os, "fork"):
-                _write_halves(fh, splits, n, path)
-            else:
-                _write_rows(fh, splits, 0, n)
+            _write_halves(fh, splits, n, path)
         except BaseException:
             if os.path.isfile(path):
                 os.unlink(path)
@@ -373,7 +374,7 @@ def _read_header(fh, path) -> tuple[list[str], int]:
     return header, d_in
 
 
-def _bulk_splits(fh, d_in: int, max_rows: int | None) -> list[Split] | None:
+def _bulk_splits(fh, d_in: int, max_rows: int) -> list[Split] | None:
     """Parse the rows after the header with one np.loadtxt call, fed a
     chunk of lines (CHUNK_CHARS) at a time. None when a line is not a
     plain row (a quote or a 0x1c-0x1f control, a comma count other than
@@ -483,16 +484,16 @@ def _halves(path) -> tuple[int, int, int] | None:
     return (start, split, stop) if split < stop else None
 
 
-def _bulk_halves(path, d_in: int, encoding: str, start: int, split: int, stop: int) -> list[Split] | None:
-    """_bulk_splits on body bytes start..split here and split..stop in a
-    forked child, each half with its own line bound, joined role by role,
-    this process's rows first. None when either half is not plain rows.
+def _bulk_halves(path, d_in: int, start: int, split: int, stop: int) -> list[Split] | None:
+    """_bulk_splits on body bytes start..split here and split..stop in the
+    _two_processes child, each half with its own line bound, joined role by
+    role, this process's rows first. None when either half is not plain rows.
 
     The child writes the three row counts (-1 for not plain rows), then
     each role's x, label and tag arrays; they are read straight into the
     joined arrays."""
     def bulk(lo: int, hi: int) -> list[Split] | None:
-        with io.TextIOWrapper(io.BufferedReader(_ByteRange(path, lo, hi)), encoding=encoding,
+        with io.TextIOWrapper(io.BufferedReader(_ByteRange(path, lo, hi)), encoding="utf-8",
                               newline="") as text:
             return _bulk_splits(text, d_in, _max_rows(hi - lo, d_in))
 
@@ -525,11 +526,11 @@ def _bulk_halves(path, d_in: int, encoding: str, start: int, split: int, stop: i
 
 
 def _walk_rows(path) -> tuple[int, list[Split]]:
-    """Walk the file with csv.reader row by row: raises the first bad
-    line's path:line message, then the first non-finite feature's."""
+    """Walk the file, opened once, with csv.reader row by row: raises the
+    first bad line's path:line message, then the first non-finite feature's."""
     rows: dict[str, list[tuple[int, int, list[float]]]] = {r: [] for r in ROLE_NAMES}
     nonfinite = None
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         header, d_in = _read_header(fh, path)
         for lineno, row in _numbered_rows(fh, path, 2):
             if len(row) != 3 + d_in:
@@ -560,24 +561,21 @@ def _walk_rows(path) -> tuple[int, list[Split]]:
 
 
 def load_csv(path) -> Dataset:
-    """Read a dataset CSV: the bulk parse, else the csv.reader row walk.
+    """Read a dataset CSV: the split bulk parse, else the csv.reader row walk.
 
-    A regular file whose body has a line end at or after its middle byte
-    is parsed on two cores where os.fork exists: this process takes the
-    body up to the first such line end and a forked child the rest. A
-    half that is not plain rows sends the whole file to the row walk, so
-    every message and its path:line are those of a one-process read, and
-    the dataset has the same arrays. A pipe is read once, without a line
-    bound."""
+    A regular file whose body has a line start after its middle line end
+    (see _halves) is parsed by _bulk_halves. Everything else goes to the row
+    walk, which opens its input once: a pipe or other non-regular file, a
+    one-row body, or a file either half declines. So every message and its
+    path:line are the walk's, and the dataset has the same arrays either way."""
     try:
-        with open(path, newline="") as fh:
-            _, d_in = _read_header(fh, path)
-            halves = _halves(path) if os.path.isfile(path) and hasattr(os, "fork") else None
+        splits = None
+        if os.path.isfile(path):
+            with open(path, encoding="utf-8", newline="") as fh:
+                _, d_in = _read_header(fh, path)
+            halves = _halves(path)
             if halves is not None:
-                splits = _bulk_halves(path, d_in, fh.encoding, *halves)
-            else:
-                max_rows = _max_rows(os.path.getsize(path), d_in) if os.path.isfile(path) else None
-                splits = _bulk_splits(fh, d_in, max_rows)
+                splits = _bulk_halves(path, d_in, *halves)
         if splits is None:
             d_in, splits = _walk_rows(path)
     except UnicodeDecodeError as e:

@@ -176,7 +176,7 @@ def export_histogram(scores: np.ndarray, is_outlier: np.ndarray, edges: np.ndarr
         raise ConfigError("scores and outlier flags must align")
     inlier_counts, _ = np.histogram(scores[~is_outlier], bins=edges)
     outlier_counts, _ = np.histogram(scores[is_outlier], bins=edges)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("bin_low,bin_high,inlier_count,outlier_count\n")
         for i in range(len(edges) - 1):
             fh.write(f"{repr(float(edges[i]))},{repr(float(edges[i + 1]))},{inlier_counts[i]},{outlier_counts[i]}\n")
@@ -199,6 +199,6 @@ def format_metrics_line(record, keys: tuple[str, ...] = METRICS_KEY_ORDER) -> st
 
 
 def write_metrics(path, records: list[MetricsRecord]) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(format_metrics_line(record) + "\n")

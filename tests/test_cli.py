@@ -2,6 +2,7 @@
 reproducibility, and exit codes."""
 
 import io
+import os
 import platform
 import re
 import shutil
@@ -156,7 +157,7 @@ class TestResolveSpec:
         path = sub / "exp.spec"
         path.write_text(f"out_dir = {tmp_path / 'run'}\ndata_csv = data.csv\n" + TRAIN_LINES)
         spec = resolve_spec(path)
-        assert spec.data_csv == str((sub / "data.csv").resolve())
+        assert spec.data_csv == os.path.abspath(sub / "data.csv")
 
     def test_snapshot_is_idempotent(self, tmp_path):
         spec = resolve_spec(write_spec(tmp_path, out_dir=tmp_path / "run"))
@@ -302,6 +303,23 @@ class TestTrainCmd:
         spec.write_text(f"out_dir = {tmp_path / 'run'}\ndata_csv = data.csv\n" + TRAIN_LINES)
         assert main(["train", "--config", str(spec)]) == 0
         assert (tmp_path / "run" / "metrics.txt").exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_train_from_piped_data_csv(self, tmp_path):
+        """data_csv = /dev/stdin is kept as written, not resolved to the
+        pipe it links to, so a CSV piped in trains as the file does."""
+        gen_cfg = tmp_path / "gen.cfg"
+        gen_cfg.write_text(GEN_LINES)
+        main(["gen-data", "--config", str(gen_cfg), "--out", str(tmp_path / "data.csv")])
+        spec = tmp_path / "exp.spec"
+        spec.write_text(f"out_dir = {tmp_path / 'file'}\ndata_csv = data.csv\n" + TRAIN_LINES)
+        assert main(["train", "--config", str(spec)]) == 0
+        spec.write_text(f"out_dir = {tmp_path / 'pipe'}\ndata_csv = /dev/stdin\n" + TRAIN_LINES)
+        proc = subprocess.run([sys.executable, "-m", "openset_ssl", "train", "--config", str(spec)],
+                              input=(tmp_path / "data.csv").read_bytes(), capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "data_csv = /dev/stdin\n" in (tmp_path / "pipe" / "resolved.spec").read_text()
+        assert (tmp_path / "pipe" / "metrics.txt").read_bytes() == (tmp_path / "file" / "metrics.txt").read_bytes()
 
     def test_trains_without_seen_outliers(self, tmp_path, capsys):
         """ablate refuses such a test split; train runs and leaves auroc_seen out."""
@@ -977,3 +995,19 @@ class TestAblateCmd:
 
     def test_missing_subcommand_exits_2(self):
         assert main([]) == 2
+
+
+def test_commands_open_text_as_utf8(tmp_path):
+    """Every text file is opened as UTF-8, not in the locale's encoding:
+    no command warns under -X warn_default_encoding."""
+    gen_cfg = tmp_path / "gen.cfg"
+    gen_cfg.write_text(GEN_LINES)
+    spec, data = write_spec(tmp_path, out_dir=tmp_path / "run"), tmp_path / "data.csv"
+    for command in (["gen-data", "--config", str(gen_cfg), "--out", str(data)],
+                    ["train", "--config", str(spec)],
+                    ["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.npz"), "--data", str(data),
+                     "--out", str(tmp_path / "ev")],
+                    ["ablate", "--config", str(spec), "--out", str(tmp_path / "ab")]):
+        proc = subprocess.run([sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                               "-m", "openset_ssl", *command], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, ""), command

@@ -2,10 +2,12 @@
 csv.writer / csv.reader reference in reference_csv.py. The writer must
 give byte-identical files; for any text, the reader must give the same
 dataset bit for bit or raise the same error, on the forked two-process
-read and on the one-process read alike."""
+read, on the read without os.fork (_two_processes running both parts in
+this process) and, for a pipe, on the row walk alike."""
 
 import gc
 import os
+import threading
 import warnings
 
 import numpy as np
@@ -46,7 +48,8 @@ def outcome(load, path):
 
 def outcome_both_ways(path):
     """outcome(load_csv, path) where os.fork exists, checked equal to the
-    one-process read's (os.fork removed)."""
+    read with os.fork removed, where _two_processes runs both parts in
+    this process."""
     got = outcome(load_csv, path)
     with pytest.MonkeyPatch.context() as mp:
         mp.delattr(os, "fork")
@@ -286,21 +289,46 @@ def test_narrowest_rows_take_the_bulk_path(tmp_path, monkeypatch, line_end, fina
     assert outcome_both_ways(path) == want
 
 
+# name, the file's text (None: TINY as save_csv writes it)
+PIPE_CASES = [("tiny", None)] + [(name, text) for name, text, _ in LOADS_LIKE + REJECTED]
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-def test_pipe_loads_without_a_line_bound(tmp_path):
+@pytest.mark.parametrize("name,text", PIPE_CASES, ids=[c[0] for c in PIPE_CASES])
+def test_pipe_reads_as_the_file(tmp_path, monkeypatch, name, text):
+    """Through a pipe, a CSV loads as the file does, or is rejected with
+    the file's message naming the pipe: one row walk, which opens the pipe
+    once, and no fork. A thread feeds the pipe, as the text may be more
+    than its buffer holds."""
     path = tmp_path / "data.csv"
-    save_csv(gen_synthetic(TINY, seed=1), path)
+    if text is None:
+        save_csv(gen_synthetic(TINY, seed=1), path)
+    else:
+        path.write_text(text, newline="")
+    want = outcome(load_csv, path)
+    walked, walk = [], data._walk_rows
+    monkeypatch.setattr(data, "_walk_rows", lambda p: walked.append(p) or walk(p))
+    forked = record_forks(monkeypatch)
     read_end, write_end = os.pipe()
+    fifo = f"/dev/fd/{read_end}"
+
+    def feed():
+        try:
+            with open(write_end, "wb") as fh:
+                fh.write(path.read_bytes())
+        except BrokenPipeError:  # the walk stopped at a bad row before the end
+            pass
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
     try:
-        os.write(write_end, path.read_bytes())  # far below a pipe's buffer
-        os.close(write_end)
-        write_end = None
-        fifo = f"/dev/fd/{read_end}"
-        assert outcome(load_csv, fifo)[2] == outcome(load_csv, path)[2]
+        got = outcome(load_csv, fifo)
     finally:
         os.close(read_end)
-        if write_end is not None:
-            os.close(write_end)
+        feeder.join()
+    assert got == tuple(w.replace(str(path), fifo) if isinstance(w, str) else w for w in want)
+    assert walked == [fifo]
+    assert forked == []
 
 
 # Several thousand rows of four features: the bulk reader takes them in

@@ -372,9 +372,11 @@ class TestCsv:
 
         assert traced_peak_bytes(load) < 4 << 20
 
-    def test_forked_read_peaks_no_higher_than_one_process(self, tmp_path, monkeypatch):
+    def test_forked_read_peaks_no_higher_than_in_process_parts(self, tmp_path, monkeypatch):
         """The forked read's parent holds half the rows while it parses and
-        1.5 times them while it joins, against all of them twice in one process."""
+        1.5 times them while it joins. Without os.fork, _two_processes runs
+        both parts in this process, which also holds the first part's rows
+        while it parses the second."""
         path = tmp_path / "data.csv"
         save_csv(gen_synthetic(replace(SMALL, test_per_class=2000, test_per_outlier=2000), seed=0), path)
         forks = []
