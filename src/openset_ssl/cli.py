@@ -1,13 +1,15 @@
 """Command line interface: gen-data, train, eval, ablate.
 
-Config files are flat `key = value` text. Keys are the field names of
-TrainConfig (augment aside) and AugmentConfig, and of GenConfig with a
-gen_ prefix, plus gen_seed; an experiment additionally names out_dir
-and exactly one dataset source (data_csv or a gen_* block). An ablation
-sets a loss weight to 0 (lam_oc, lam_em, lam_fm) or socr_head = closed.
-Unknown keys are rejected. The resolved snapshot written next to the
-run artifacts spells out every value, defaults included, and can be fed
-back to `train --config` to reproduce the run.
+Config files are flat `key = value` text. Each key is a field of
+TrainConfig or (with a gen_ prefix) GenConfig, plus gen_seed; an
+experiment additionally names out_dir and exactly one dataset source
+(data_csv or a gen_* block). A relative data_csv is taken from the
+spec's directory, or from the working directory when the spec is not a
+regular file (a pipe, say). An ablation sets a loss weight to 0
+(lam_oc, lam_em, lam_fm) or socr_head = closed. Unknown keys are
+rejected. The resolved snapshot written next to the run artifacts
+spells out every value, defaults included, and can be fed back to
+`train --config` to reproduce the run.
 
 Exit codes: 0 on success, 2 for configuration or validation problems
 (a non-finite config number too), 3 for numeric failures in training.
@@ -24,16 +26,13 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
-from .data import TAG_INLIER, TAG_SEEN_OUTLIER, AugmentConfig, Dataset, GenConfig, gen_synthetic, load_csv, save_csv
+from .data import TAG_INLIER, TAG_SEEN_OUTLIER, Dataset, GenConfig, gen_synthetic, load_csv, save_csv
 from .errors import ConfigError, MetricError, NumericError, OpenSetSSLError, ParseError
 from .evaluation import evaluate_params, export_histogram, format_metrics_line, histogram_edges, write_metrics
 from .model import load_checkpoint, save_checkpoint
 from .trainer import TrainConfig, TrainHistory, train
 
-AUGMENT_KEYS = tuple(f.name for f in fields(AugmentConfig))
-# TrainConfig's own settings; augment is spelled out by AUGMENT_KEYS.
-TRAIN_SCALAR_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "augment")
-TRAIN_KEYS = TRAIN_SCALAR_KEYS + AUGMENT_KEYS
+TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
 GEN_KEYS = tuple(f"gen_{f.name}" for f in fields(GenConfig)) + ("gen_seed",)
 
 
@@ -108,15 +107,6 @@ def _parsed_fields(cls, kv: dict[str, str], prefix: str = "") -> dict:
             for f in fields(cls) if prefix + f.name in kv}
 
 
-def _build_train_config(kv: dict[str, str]) -> TrainConfig:
-    cfg = TrainConfig()
-    updates = _parsed_fields(TrainConfig, kv)
-    augment = _parsed_fields(AugmentConfig, kv)
-    if augment:
-        updates["augment"] = replace(cfg.augment, **augment)
-    return replace(cfg, **updates)
-
-
 def _build_gen_config(kv: dict[str, str]) -> GenConfig:
     return replace(GenConfig(), **_parsed_fields(GenConfig, kv, prefix="gen_"))
 
@@ -137,7 +127,7 @@ def resolve_spec(path, seed_override: int | None = None, out_override: str | Non
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
-    base = Path(path).resolve().parent
+    base = Path(path).resolve().parent if os.path.isfile(path) else Path.cwd()
     gen_keys_present = [k for k in kv if k in GEN_KEYS]
     data_csv = kv.get("data_csv")
     if data_csv and gen_keys_present:
@@ -148,7 +138,7 @@ def resolve_spec(path, seed_override: int | None = None, out_override: str | Non
     if not out_dir:
         raise ConfigError("out_dir is required (in the config or via --out)")
 
-    train_cfg = _build_train_config({k: v for k, v in kv.items() if k in TRAIN_KEYS})
+    train_cfg = replace(TrainConfig(), **_parsed_fields(TrainConfig, kv))
     if seed_override is not None:
         train_cfg = replace(train_cfg, seed=seed_override)
     train_cfg.validate()
@@ -185,18 +175,13 @@ def snapshot_pairs(spec: ExperimentSpec) -> list[tuple[str, str]]:
     else:
         values += [(f"gen_{f.name}", getattr(spec.gen, f.name)) for f in fields(GenConfig)]
         values.append(("gen_seed", spec.gen_seed))
-    values += [(key, getattr(spec.train, key)) for key in TRAIN_SCALAR_KEYS]
-    values += [(key, getattr(spec.train.augment, key)) for key in AUGMENT_KEYS]
+    values += [(key, getattr(spec.train, key)) for key in TRAIN_KEYS]
     return [(key, _format_value(value)) for key, value in values]
 
 
 def snapshot_text(spec: ExperimentSpec) -> str:
     """The snapshot as `key = value` lines; train --config reads it back."""
-    return _kv_text(snapshot_pairs(spec))
-
-
-def _kv_text(pairs: list[tuple[str, str]]) -> str:
-    return "".join(f"{key} = {value}\n" for key, value in pairs)
+    return "".join(f"{key} = {value}\n" for key, value in snapshot_pairs(spec))
 
 
 def load_spec_dataset(spec: ExperimentSpec, config_path, command: str = "train") -> Dataset:
@@ -221,9 +206,9 @@ def load_spec_dataset(spec: ExperimentSpec, config_path, command: str = "train")
 def _train_and_save(spec: ExperimentSpec, dataset: Dataset, out_dir: Path) -> TrainHistory:
     out_dir.mkdir(parents=True, exist_ok=True)
     history = train(dataset, spec.train)
-    pairs = snapshot_pairs(replace(spec, out_dir=str(out_dir)))
-    (out_dir / "resolved.spec").write_text(_kv_text(pairs), encoding="utf-8")
-    save_checkpoint(out_dir / "checkpoint.npz", history.final_params, config=dict(pairs))
+    spec = replace(spec, out_dir=str(out_dir))
+    (out_dir / "resolved.spec").write_text(snapshot_text(spec), encoding="utf-8")
+    save_checkpoint(out_dir / "checkpoint.npz", history.final_params, config=dict(snapshot_pairs(spec)))
     write_metrics(out_dir / "metrics.txt", history.records)
     return history
 

@@ -110,21 +110,6 @@ class Dataset:
 
 
 @dataclass
-class AugmentConfig:
-    weak_noise_sigma: float = 0.5
-    strong_noise_sigma: float = 1.0
-    strong_mask_prob: float = 0.25
-
-    def validate(self) -> None:
-        if not self.weak_noise_sigma >= 0:  # range checks are written so that nan fails them
-            raise ConfigError(f"weak_noise_sigma must be >= 0, got {self.weak_noise_sigma}")
-        if not self.strong_noise_sigma >= self.weak_noise_sigma:
-            raise ConfigError("strong_noise_sigma must be >= weak_noise_sigma")
-        if not 0.0 <= self.strong_mask_prob <= 1.0:
-            raise ConfigError(f"strong_mask_prob must lie in [0, 1], got {self.strong_mask_prob}")
-
-
-@dataclass
 class GenConfig:
     k_classes: int = 4
     n_seen_outlier: int = 2
@@ -205,20 +190,20 @@ def gen_synthetic(cfg: GenConfig, seed: int) -> Dataset:
     return ds
 
 
-def augment_weak(x: np.ndarray, aug: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
-    """Additive Gaussian jitter at the weak noise scale."""
+def augment_weak(x: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """Additive Gaussian jitter at scale sigma."""
     x = np.asarray(x, dtype=np.float64)
-    if aug.weak_noise_sigma == 0.0:
+    if sigma == 0.0:
         return x.copy()
-    return x + aug.weak_noise_sigma * rng.standard_normal(x.shape)
+    return x + sigma * rng.standard_normal(x.shape)
 
 
-def augment_strong(x: np.ndarray, aug: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian jitter at the strong scale, then random coordinate zeroing."""
+def augment_strong(x: np.ndarray, sigma: float, mask_prob: float, rng: np.random.Generator) -> np.ndarray:
+    """Gaussian jitter at scale sigma, then each coordinate zeroed with probability mask_prob."""
     x = np.asarray(x, dtype=np.float64)
-    out = x.copy() if aug.strong_noise_sigma == 0.0 else x + aug.strong_noise_sigma * rng.standard_normal(x.shape)
-    if aug.strong_mask_prob > 0.0:
-        keep = rng.random(x.shape) >= aug.strong_mask_prob
+    out = x.copy() if sigma == 0.0 else x + sigma * rng.standard_normal(x.shape)
+    if mask_prob > 0.0:
+        keep = rng.random(x.shape) >= mask_prob
         out = out * keep
     return out
 

@@ -110,12 +110,11 @@ def auroc(scores: np.ndarray, is_outlier: np.ndarray) -> float:
     n_neg = len(is_outlier) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MetricError("AUROC is undefined without both inliers and outliers")
-    # Average ranks (1-based) with ties sharing their group mean.
-    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    avg_rank = ends - (counts - 1) / 2.0
-    ranks = avg_rank[inverse]
-    u = ranks[is_outlier].sum() - n_pos * (n_pos + 1) / 2.0
+    # U counts, per outlier, the inliers below it plus half those tied with it:
+    # a sum of integers over 2, so exact.
+    inliers = np.sort(scores[~is_outlier])
+    outliers = scores[is_outlier]
+    u = (np.searchsorted(inliers, outliers, "left").sum() + np.searchsorted(inliers, outliers, "right").sum()) / 2
     return float(u / (n_pos * n_neg))
 
 

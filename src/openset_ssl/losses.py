@@ -191,12 +191,12 @@ def loss_all(
         terms["l_em"] = (loss_em(forward(ova_probs, u)), float(config.lam_em))
     if config.lam_oc > 0.0:
         head = ova_probs if config.socr_head == "ova" else classify_closed
-        v1 = augment_weak(u, config.augment, rng)
-        v2 = augment_weak(u, config.augment, rng)
+        v1 = augment_weak(u, config.weak_noise_sigma, rng)
+        v2 = augment_weak(u, config.weak_noise_sigma, rng)
         terms["l_oc"] = (loss_socr(forward(head, v1), forward(head, v2)), float(config.lam_oc))
     if epoch > config.e_fix and config.lam_fm > 0.0:
-        weak = augment_weak(i_batch, config.augment, rng)
-        strong = augment_strong(i_batch, config.augment, rng)
+        weak = augment_weak(i_batch, config.weak_noise_sigma, rng)
+        strong = augment_strong(i_batch, config.strong_noise_sigma, config.strong_mask_prob, rng)
         with ad.no_grad():
             q = forward(classify_closed, weak).data
         fm, mask_count = loss_fixmatch(q, forward(classify_closed, strong), config.tau)

@@ -14,13 +14,13 @@ Runs with equal configs and seeds are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .autodiff import Tensor
-from .data import AugmentConfig, Dataset, sample_batches
+from .data import Dataset, sample_batches
 from .errors import ConfigError, NumericError
 from .evaluation import OUTLIER, MetricsRecord, evaluate_params, predict_open
 from .losses import loss_all
@@ -42,27 +42,33 @@ class TrainConfig:
     momentum: float = 0.9
     seed: int = 0
     hidden: tuple[int, ...] = (64, 64)
-    augment: AugmentConfig = field(default_factory=AugmentConfig)
     eval_every: int = 5
     socr_head: str = "ova"  # "closed" compares closed-set probabilities instead
+    weak_noise_sigma: float = 0.5    # the consistency views and FixMatch's weak view
+    strong_noise_sigma: float = 1.0  # FixMatch's strong view, before masking
+    strong_mask_prob: float = 0.25
 
     def validate(self) -> None:
-        if self.b < 1 or self.mu < 1 or self.i_max < 1 or self.eval_every < 1:
-            raise ConfigError("b, mu, i_max and eval_every must all be >= 1")
+        for name, low in (("b", 1), ("mu", 1), ("lam_em", 0), ("lam_oc", 0), ("lam_fm", 0), ("i_max", 1),
+                          ("momentum", 0), ("seed", 0), ("eval_every", 1), ("weak_noise_sigma", 0)):
+            value = getattr(self, name)
+            if not value >= low:  # each range check is written so that nan fails it
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
         if not 1 <= self.e_fix <= self.e_max:
             raise ConfigError(f"need 1 <= e_fix <= e_max, got e_fix={self.e_fix}, e_max={self.e_max}")
-        if not self.lr > 0.0:  # each range check is written so that nan fails it
+        if not self.lr > 0.0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
-        for name in ("seed", "momentum", "lam_em", "lam_oc", "lam_fm"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 < self.tau <= 1.0:
             raise ConfigError(f"tau must lie in (0, 1], got {self.tau}")
         if any(h < 1 for h in self.hidden):
             raise ConfigError(f"hidden widths must be positive, got {self.hidden}")
         if self.socr_head not in ("ova", "closed"):
             raise ConfigError(f"socr_head must be 'ova' or 'closed', got {self.socr_head!r}")
-        self.augment.validate()
+        if not self.strong_noise_sigma >= self.weak_noise_sigma:
+            raise ConfigError(f"strong_noise_sigma must be >= weak_noise_sigma ({self.weak_noise_sigma}), "
+                              f"got {self.strong_noise_sigma}")
+        if not 0.0 <= self.strong_mask_prob <= 1.0:
+            raise ConfigError(f"strong_mask_prob must lie in [0, 1], got {self.strong_mask_prob}")
 
 
 @dataclass

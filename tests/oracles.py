@@ -89,10 +89,11 @@ def ova(params, x) -> Tensor:
     return ova_probs(params, feature_extract(params, x))
 
 
-def socr_on(params, u, aug, rng, head=ova) -> Tensor:
-    """loss_socr on two weak views of u, drawn and forwarded as loss_all does."""
-    v1 = augment_weak(u, aug, rng)
-    v2 = augment_weak(u, aug, rng)
+def socr_on(params, u, config, rng, head=ova) -> Tensor:
+    """loss_socr on two weak views of u at config's noise scale, drawn and
+    forwarded as loss_all does."""
+    v1 = augment_weak(u, config.weak_noise_sigma, rng)
+    v2 = augment_weak(u, config.weak_noise_sigma, rng)
     return loss_socr(head(params, v1), head(params, v2))
 
 
@@ -103,7 +104,9 @@ def fixmatch_on_views(params, weak, strong, tau) -> tuple[Tensor, int]:
     return loss_fixmatch(q, closed(params, strong), tau)
 
 
-def fixmatch_on(params, i_batch, aug, rng, tau) -> tuple[Tensor, int]:
-    """loss_fixmatch on a weak and a strong view of i_batch, drawn as loss_all draws them."""
-    weak = augment_weak(i_batch, aug, rng)
-    return fixmatch_on_views(params, weak, augment_strong(i_batch, aug, rng), tau)
+def fixmatch_on(params, i_batch, config, rng, tau) -> tuple[Tensor, int]:
+    """loss_fixmatch on a weak and a strong view of i_batch at config's noise
+    scales, drawn as loss_all draws them."""
+    weak = augment_weak(i_batch, config.weak_noise_sigma, rng)
+    strong = augment_strong(i_batch, config.strong_noise_sigma, config.strong_mask_prob, rng)
+    return fixmatch_on_views(params, weak, strong, tau)

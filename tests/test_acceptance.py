@@ -28,7 +28,6 @@ import openset_ssl.trainer as trainer_mod
 from oracles import closed, fixmatch_on, grad_check, ova, socr_on
 from openset_ssl.cli import main as cli_main
 from openset_ssl.data import (
-    AugmentConfig,
     GenConfig,
     gen_synthetic,
     load_csv,
@@ -120,19 +119,19 @@ def test_gradient_checks_every_loss():
     y = rng.integers(0, k, size=b)
     u = rng.normal(size=(2 * b, d))
     i_batch = rng.normal(size=(2 * b, d))
-    aug = AugmentConfig(weak_noise_sigma=0.3, strong_noise_sigma=0.6, strong_mask_prob=0.2)
-    cfg = TrainConfig(b=b, mu=2, tau=0.25, e_fix=1, e_max=2, i_max=1, hidden=(6,), augment=aug)
+    cfg = TrainConfig(b=b, mu=2, tau=0.25, e_fix=1, e_max=2, i_max=1, hidden=(6,),
+                      weak_noise_sigma=0.3, strong_noise_sigma=0.6, strong_mask_prob=0.2)
 
     # The pseudo-label term must actually fire for its check to mean anything.
-    _, mask_count = fixmatch_on(params, i_batch, aug, np.random.default_rng(6), tau=0.25)
+    _, mask_count = fixmatch_on(params, i_batch, cfg, np.random.default_rng(6), tau=0.25)
     assert mask_count > 0
 
     checks = {
         "cls": lambda: loss_cls(closed(params, x), y),
         "ova": lambda: loss_ova(ova(params, x), y),
         "em": lambda: loss_em(ova(params, u)),
-        "oc": lambda: socr_on(params, u, aug, np.random.default_rng(5)),
-        "fm": lambda: fixmatch_on(params, i_batch, aug, np.random.default_rng(6), tau=0.25)[0],
+        "oc": lambda: socr_on(params, u, cfg, np.random.default_rng(5)),
+        "fm": lambda: fixmatch_on(params, i_batch, cfg, np.random.default_rng(6), tau=0.25)[0],
         "all": lambda: loss_all(params, x, y, u, i_batch, cfg, np.random.default_rng(7), epoch=2)[0],
     }
     for name, fn in checks.items():
@@ -155,10 +154,10 @@ def test_loss_value_oracles():
     assert abs(loss_ova(ova(params, x), y).item() - 2.0 * math.log(2.0)) < 1e-9
     assert abs(loss_em(ova(params, u)).item() - k * math.log(2.0)) < 1e-9
 
-    noiseless = AugmentConfig(weak_noise_sigma=0.0, strong_noise_sigma=0.0, strong_mask_prob=0.0)
+    noiseless = TrainConfig(weak_noise_sigma=0.0, strong_noise_sigma=0.0, strong_mask_prob=0.0)
     assert socr_on(params, u, noiseless, np.random.default_rng(2)).item() == 0.0
 
-    aug = AugmentConfig(weak_noise_sigma=0.3, strong_noise_sigma=0.6, strong_mask_prob=0.2)
+    aug = TrainConfig(weak_noise_sigma=0.3, strong_noise_sigma=0.6, strong_mask_prob=0.2)
     fm, mask_count = fixmatch_on(params, u, aug, np.random.default_rng(3), tau=1.0)
     assert fm.item() == 0.0
     assert mask_count == 0
@@ -224,8 +223,10 @@ def test_candidate_warmup_gating():
         i_max=5,
         seed=3,
         hidden=(8,),
-        augment=AugmentConfig(weak_noise_sigma=0.3, strong_noise_sigma=0.6, strong_mask_prob=0.2),
         eval_every=100,
+        weak_noise_sigma=0.3,
+        strong_noise_sigma=0.6,
+        strong_mask_prob=0.2,
     )
 
     h_empty, hist = _traced_run(ds, cfg, initial=None)

@@ -9,7 +9,8 @@ wrap point exists and that the callers really go through the wrapped
 names: a step that stops calling `losses.feature_extract`, say, would
 silently drop the extractor-pass counters from the report, and one that
 skips a loss term would drop that term's span. Likewise
-bench/workloads.py scores a checkpoint straight from its array names.
+bench/workloads.py scores a checkpoint straight from its array names,
+and writes specs and generator settings by config field name.
 """
 
 import importlib.util
@@ -153,6 +154,19 @@ def test_traced_cli_flow_reports_every_counter(tracer_module, tmp_path):
                    "autodiff.nodes_per_step_warmup", "autodiff.nodes_per_step_selftrain"):
         assert metrics[metric] > 0, metric
     assert metrics["evaluation.test_forward_passes"] == 1
+
+
+def test_workload_specs_resolve(workloads_module, tmp_path):
+    """Every spec a workload writes resolves, and its generator settings
+    build and validate: a renamed config field fails here, not only in a
+    benchmark run."""
+    for w in workloads_module.WORKLOADS.values():
+        for train in (w.setup_train, w.train):
+            path = tmp_path / f"{w.name}.spec"
+            path.write_text(workloads_module.spec_text(w.gen, train, 0), encoding="utf-8")
+            cli.resolve_spec(path, out_override=str(tmp_path / "run"))
+        for gen in (w.gen, w.csv_gen):
+            GenConfig(**gen).validate()
 
 
 @pytest.mark.parametrize("hidden", [(), (5,), (64, 64)], ids=["depth0", "depth1", "default"])

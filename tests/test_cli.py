@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from openset_ssl import cli
 from openset_ssl.cli import main, parse_kv_file, resolve_spec, snapshot_text
-from openset_ssl.data import AugmentConfig, GenConfig, load_csv
+from openset_ssl.data import GenConfig, load_csv
 from openset_ssl.errors import ConfigError, ParseError
 from openset_ssl.model import init_params, load_checkpoint, save_checkpoint
 from openset_ssl.trainer import TrainConfig
@@ -103,7 +103,7 @@ class TestResolveSpec:
         spec = resolve_spec(write_spec(tmp_path, out_dir=tmp_path / "run"))
         assert spec.train.b == 6 and spec.train.momentum == 0.9  # file + default
         assert spec.train.hidden == (8,)
-        assert spec.train.augment.weak_noise_sigma == 0.3
+        assert spec.train.weak_noise_sigma == 0.3
         assert spec.gen.k_classes == 2 and spec.gen_seed == 1
         assert (spec.train.lam_em, spec.train.lam_oc, spec.train.lam_fm) == (0.1, 0.5, 1.0)
         assert spec.train.socr_head == "ova"
@@ -174,13 +174,11 @@ class TestResolveSpec:
         from openset_ssl.cli import GEN_KEYS, TRAIN_KEYS
 
         settings_keys = (
-            {f.name for f in fields(TrainConfig) if f.name != "augment"}
-            | {f.name for f in fields(AugmentConfig)}
-            | {f"gen_{f.name}" for f in fields(GenConfig)}
-            | {"gen_seed"}
+            {f.name for f in fields(TrainConfig)} | {f"gen_{f.name}" for f in fields(GenConfig)} | {"gen_seed"}
         )
         assert kv == settings_keys | {"out_dir"}
         assert set(GEN_KEYS) | set(TRAIN_KEYS) == settings_keys
+        assert TRAIN_KEYS == tuple(f.name for f in fields(TrainConfig))
 
 
 class TestGenDataCmd:
@@ -320,6 +318,31 @@ class TestTrainCmd:
         assert proc.returncode == 0, proc.stderr
         assert "data_csv = /dev/stdin\n" in (tmp_path / "pipe" / "resolved.spec").read_text()
         assert (tmp_path / "pipe" / "metrics.txt").read_bytes() == (tmp_path / "file" / "metrics.txt").read_bytes()
+
+    def test_piped_spec_takes_data_csv_from_the_working_directory(self, tmp_path):
+        """A spec read from a pipe has no directory, so a relative data_csv
+        is taken from the working directory; a spec redirected from a file
+        keeps the file's directory."""
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        gen_cfg = tmp_path / "gen.cfg"
+        gen_cfg.write_text(GEN_LINES)
+        main(["gen-data", "--config", str(gen_cfg), "--out", str(sub / "data.csv")])
+        spec = sub / "exp.spec"
+        spec.write_text("data_csv = data.csv\n" + TRAIN_LINES)
+        assert main(["train", "--config", str(spec), "--out", str(tmp_path / "file")]) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        argv = [sys.executable, "-m", "openset_ssl", "train", "--config", "/dev/stdin", "--out"]
+        piped = subprocess.run(argv + [str(tmp_path / "pipe")], input=spec.read_bytes(), cwd=sub, env=env,
+                               capture_output=True)
+        with open(spec, "rb") as fh:
+            redirected = subprocess.run(argv + [str(tmp_path / "redirect")], stdin=fh, cwd=tmp_path, env=env,
+                                        capture_output=True)
+        for proc, name in ((piped, "pipe"), (redirected, "redirect")):
+            assert proc.returncode == 0, proc.stderr
+            run = tmp_path / name
+            assert f"data_csv = {os.path.realpath(sub / 'data.csv')}\n" in (run / "resolved.spec").read_text()
+            assert (run / "metrics.txt").read_bytes() == (tmp_path / "file" / "metrics.txt").read_bytes()
 
     def test_trains_without_seen_outliers(self, tmp_path, capsys):
         """ablate refuses such a test split; train runs and leaves auroc_seen out."""
@@ -753,8 +776,7 @@ def test_mutated_spec_exits_0_2_or_3(tmp_path, capsys, mutation):
 VALUES_BY_TYPE = {int: ("0", "1", "2"), float: ("0", "0.5", "1"), tuple[int, ...]: ("", "1", "2,2"),
                   str: ("ova", "closed")}
 TYPED_VALUES = {prefix + f.name: VALUES_BY_TYPE[get_type_hints(cls)[f.name]]
-                for cls, prefix in ((TrainConfig, ""), (AugmentConfig, ""), (GenConfig, "gen_"))
-                for f in fields(cls) if f.name != "augment"}
+                for cls, prefix in ((TrainConfig, ""), (GenConfig, "gen_")) for f in fields(cls)}
 
 
 @st.composite

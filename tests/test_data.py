@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openset_ssl.data import (
-    AugmentConfig,
     Dataset,
     GenConfig,
     Split,
@@ -27,6 +26,7 @@ from openset_ssl.data import (
     save_csv,
 )
 from openset_ssl.errors import ConfigError, GenerationError, ParseError
+from openset_ssl.trainer import TrainConfig
 
 
 def traced_peak_bytes(fn):
@@ -176,12 +176,9 @@ def test_generator_bits_are_pinned(name, cfg, digest):
 
 
 class TestAugment:
-    AUG = AugmentConfig(weak_noise_sigma=0.5, strong_noise_sigma=1.0, strong_mask_prob=0.3)
-
     def test_weak_zero_sigma_is_identity(self):
-        aug = AugmentConfig(weak_noise_sigma=0.0, strong_noise_sigma=0.0, strong_mask_prob=0.0)
         x = np.random.default_rng(0).normal(size=(5, 3))
-        out = augment_weak(x, aug, np.random.default_rng(1))
+        out = augment_weak(x, 0.0, np.random.default_rng(1))
         np.testing.assert_array_equal(out, x)
         assert out is not x  # fresh array either way
 
@@ -189,7 +186,7 @@ class TestAugment:
         # 1e5 draws: sample mean within 5 sigma / sqrt(n) of zero
         n = 100_000
         x = np.zeros((n, 1))
-        out = augment_weak(x, self.AUG, np.random.default_rng(2))
+        out = augment_weak(x, 0.5, np.random.default_rng(2))
         tol = 5 * 0.5 / np.sqrt(n)
         assert abs(out.mean()) < tol
         assert abs(out.std() - 0.5) < 0.01
@@ -197,38 +194,36 @@ class TestAugment:
     def test_strong_mask_rate(self):
         n = 100_000
         x = np.ones((n, 1))
-        aug = AugmentConfig(weak_noise_sigma=0.0, strong_noise_sigma=0.0, strong_mask_prob=0.3)
-        out = augment_strong(x, aug, np.random.default_rng(3))
+        out = augment_strong(x, 0.0, 0.3, np.random.default_rng(3))
         rate = np.mean(out == 0.0)
         assert abs(rate - 0.3) < 0.01
 
     def test_strong_mask_prob_one_zeroes_everything(self):
-        aug = AugmentConfig(weak_noise_sigma=0.0, strong_noise_sigma=0.0, strong_mask_prob=1.0)
-        out = augment_strong(np.random.default_rng(4).normal(size=(10, 4)), aug, np.random.default_rng(5))
+        out = augment_strong(np.random.default_rng(4).normal(size=(10, 4)), 0.0, 1.0, np.random.default_rng(5))
         np.testing.assert_array_equal(out, np.zeros((10, 4)))
 
     def test_independent_streams_differ(self):
         x = np.zeros((10, 3))
         rng = np.random.default_rng(6)
-        a = augment_weak(x, self.AUG, rng)
-        b = augment_weak(x, self.AUG, rng)
+        a = augment_weak(x, 0.5, rng)
+        b = augment_weak(x, 0.5, rng)
         assert not np.array_equal(a, b)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            AugmentConfig(weak_noise_sigma=-1.0).validate()
+            TrainConfig(weak_noise_sigma=-1.0).validate()
         with pytest.raises(ConfigError):
-            AugmentConfig(weak_noise_sigma=1.0, strong_noise_sigma=0.5).validate()
+            TrainConfig(weak_noise_sigma=1.0, strong_noise_sigma=0.5).validate()
         with pytest.raises(ConfigError):
-            AugmentConfig(strong_mask_prob=1.5).validate()
+            TrainConfig(strong_mask_prob=1.5).validate()
 
     @settings(max_examples=25)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 6))
     def test_shape_preserved(self, seed, n, d):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, d))
-        assert augment_weak(x, self.AUG, rng).shape == (n, d)
-        assert augment_strong(x, self.AUG, rng).shape == (n, d)
+        assert augment_weak(x, 0.5, rng).shape == (n, d)
+        assert augment_strong(x, 1.0, 0.3, rng).shape == (n, d)
 
 
 class TestSampleBatches:

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from openset_ssl import model
@@ -63,6 +63,22 @@ def pairwise_auroc(scores, is_outlier):
             elif p == n:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def rank_sum_auroc(scores, is_outlier):
+    """Mann-Whitney U from the outliers' rank sum, tied scores sharing
+    their group's mean rank: U is a sum of half-integers, so exact."""
+    n_pos = int(is_outlier.sum())
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    avg_rank = np.cumsum(counts) - (counts - 1) / 2.0
+    u = avg_rank[inverse][is_outlier].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * (len(scores) - n_pos)))
+
+
+# Scores with many ties: a few shared values, one-decimal draws, nan and
+# infinities, and any float.
+TIED_SCORES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, np.inf, -np.inf, np.nan]),
+                        st.floats(0, 1).map(lambda v: round(v, 1)), st.floats())
 
 
 class TestAnomalyScores:
@@ -124,6 +140,15 @@ class TestAuroc:
             if flags.all() or not flags.any():
                 continue
             assert abs(auroc(scores, flags) - pairwise_auroc(scores, flags)) <= 1e-12
+
+    @settings(max_examples=300)
+    @given(st.lists(TIED_SCORES, min_size=2, max_size=200), st.data())
+    def test_equals_rank_sum_form_bit_for_bit(self, raw, data):
+        """Counting by binary search gives the float the rank-sum form gives."""
+        flags = np.array(data.draw(st.lists(st.booleans(), min_size=len(raw), max_size=len(raw))))
+        assume(flags.any() and not flags.all())
+        scores = np.array(raw, dtype=np.float64)
+        assert auroc(scores, flags).hex() == rank_sum_auroc(scores, flags).hex()
 
     def test_single_population_rejected(self):
         with pytest.raises(MetricError):

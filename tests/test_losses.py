@@ -4,13 +4,13 @@ composition rules of the combined objective. Each term takes head
 outputs, so every case forwards its batch first, as loss_all does."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openset_ssl.data import AugmentConfig
 from openset_ssl.errors import ConfigError
 from openset_ssl.losses import LossBreakdown, loss_all, loss_cls, loss_em, loss_ova, loss_socr
 from openset_ssl.model import init_params
@@ -34,7 +34,7 @@ def random_setup(seed=0, b=8, d_in=4, k=3, hidden=(5,)):
     return params, x, y, u
 
 
-AUG = AugmentConfig(weak_noise_sigma=0.3, strong_noise_sigma=0.6, strong_mask_prob=0.2)
+AUG = TrainConfig(weak_noise_sigma=0.3, strong_noise_sigma=0.6, strong_mask_prob=0.2)
 
 
 class TestLossCls:
@@ -187,7 +187,7 @@ class TestConsistency:
 
     def test_zero_noise_views_give_exact_zero(self):
         params, _, _, u = random_setup(seed=8)
-        aug = AugmentConfig(weak_noise_sigma=0.0, strong_noise_sigma=0.0, strong_mask_prob=0.0)
+        aug = TrainConfig(weak_noise_sigma=0.0, strong_noise_sigma=0.0, strong_mask_prob=0.0)
         assert socr_on(params, u, aug, np.random.default_rng(0)).item() == 0.0
 
     def test_symmetric_in_views(self):
@@ -287,9 +287,9 @@ class TestFixmatch:
 
 class TestLossAll:
     def cfg(self, **kw):
-        base = dict(lam_em=0.1, lam_oc=0.5, lam_fm=1.0, tau=0.6, e_fix=3, e_max=5, augment=AUG)
+        base = dict(lam_em=0.1, lam_oc=0.5, lam_fm=1.0, tau=0.6, e_fix=3, e_max=5)
         base.update(kw)
-        return TrainConfig(**base)
+        return replace(AUG, **base)
 
     def test_matches_manual_recombination(self):
         params, x, y, u = random_setup(seed=17)
@@ -300,8 +300,8 @@ class TestLossAll:
         rng = np.random.default_rng(9)  # replay the draws v1, v2, weak, strong in order
         manual = loss_cls(closed(params, x), y).item() + loss_ova(ova(params, x), y).item()
         manual += cfg.lam_em * loss_em(ova(params, u)).item()
-        manual += cfg.lam_oc * socr_on(params, u, cfg.augment, rng).item()
-        fm, count = fixmatch_on(params, i_batch, cfg.augment, rng, cfg.tau)
+        manual += cfg.lam_oc * socr_on(params, u, cfg, rng).item()
+        fm, count = fixmatch_on(params, i_batch, cfg, rng, cfg.tau)
         manual += cfg.lam_fm * fm.item()
         assert bd.l_all == pytest.approx(manual, abs=1e-9)
         assert bd.fm_mask_count == count

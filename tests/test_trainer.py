@@ -1,14 +1,16 @@
 """Training loop: optimizer recurrence, candidate-set gating, epoch
 accounting, determinism, and the supervised reduction."""
 
+import re
 from dataclasses import fields, replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 import openset_ssl.trainer as trainer_mod
 import reference_ops as ref
-from openset_ssl.data import AugmentConfig, GenConfig, gen_synthetic, sample_batches
+from openset_ssl.data import GenConfig, gen_synthetic, sample_batches
 from openset_ssl.errors import ConfigError, NumericError
 from openset_ssl.losses import loss_cls, loss_ova
 from openset_ssl.model import init_params
@@ -38,8 +40,10 @@ FAST = TrainConfig(
     i_max=5,
     seed=3,
     hidden=(8,),
-    augment=AugmentConfig(weak_noise_sigma=0.3, strong_noise_sigma=0.6, strong_mask_prob=0.2),
     eval_every=100,
+    weak_noise_sigma=0.3,
+    strong_noise_sigma=0.6,
+    strong_mask_prob=0.2,
 )
 
 
@@ -181,8 +185,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "config, name",
         [
-            *((TrainConfig(), n) for n in ("lr", "momentum", "lam_em", "lam_oc", "lam_fm")),
-            *((AugmentConfig(), n) for n in ("weak_noise_sigma", "strong_noise_sigma")),
+            *((TrainConfig(), n) for n in ("lr", "momentum", "lam_em", "lam_oc", "lam_fm", "weak_noise_sigma",
+                                           "strong_noise_sigma")),
             *((GenConfig(), n) for n in ("cluster_sigma", "min_center_distance", "center_box")),
         ],
         ids=lambda v: v if isinstance(v, str) else type(v).__name__,
@@ -191,6 +195,29 @@ class TestConfigValidation:
         assert name in {f.name for f in fields(config)}
         with pytest.raises(ConfigError):
             replace(config, **{name: float("nan")}).validate()
+
+    @pytest.mark.parametrize(
+        "cls, name, low",
+        [
+            *((TrainConfig, name, low) for name, low in (
+                ("b", 1), ("mu", 1), ("lam_em", 0), ("lam_oc", 0), ("lam_fm", 0), ("i_max", 1), ("momentum", 0),
+                ("seed", 0), ("eval_every", 1), ("weak_noise_sigma", 0))),
+            *((GenConfig, name, low) for name, low in (
+                ("k_classes", 1), ("n_seen_outlier", 0), ("n_unseen_outlier", 0), ("d_in", 1),
+                ("labels_per_class", 1), ("unlabeled_per_outlier", 0), ("test_per_class", 0),
+                ("test_per_outlier", 0), ("cluster_sigma", 0), ("min_center_distance", 0),
+                ("max_center_retries", 1))),
+        ],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    def test_range_check_names_field_and_value(self, cls, name, low):
+        """Each lower bound that validate enforces: a count one below it, or
+        a nan float, is refused with a message naming the field and the value."""
+        value = low - 1 if get_type_hints(cls)[name] is int else float("nan")
+        with pytest.raises(ConfigError) as e:
+            replace(cls(), **{name: value}).validate()
+        words = re.findall(r"[\w.+-]+", str(e.value))
+        assert name in words and str(value) in words, str(e.value)
 
 
 class TestTrainLoop:
