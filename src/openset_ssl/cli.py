@@ -107,16 +107,15 @@ def _parsed_fields(cls, kv: dict[str, str], prefix: str = "") -> dict:
             for f in fields(cls) if prefix + f.name in kv}
 
 
-def _build_gen_config(kv: dict[str, str]) -> GenConfig:
-    return replace(GenConfig(), **_parsed_fields(GenConfig, kv, prefix="gen_"))
-
-
-def _gen_seed(kv: dict[str, str], override: int | None = None) -> int:
-    """The generator seed: override, else the gen_seed key, else 0."""
-    seed = override if override is not None else (_parse_int("gen_seed", kv["gen_seed"]) if "gen_seed" in kv else 0)
+def _gen_settings(kv: dict[str, str], seed_override: int | None = None) -> tuple[GenConfig, int]:
+    """The validated GenConfig of kv's gen_ keys, and the generator seed:
+    seed_override, else the gen_seed key, else 0."""
+    cfg = replace(GenConfig(), **_parsed_fields(GenConfig, kv, prefix="gen_"))
+    cfg.validate()
+    seed = seed_override if seed_override is not None else _parse_int("gen_seed", kv.get("gen_seed", "0"))
     if seed < 0:
         raise ConfigError(f"gen_seed must be >= 0, got {seed}")
-    return seed
+    return cfg, seed
 
 
 def resolve_spec(path, seed_override: int | None = None, out_override: str | None = None) -> ExperimentSpec:
@@ -143,12 +142,7 @@ def resolve_spec(path, seed_override: int | None = None, out_override: str | Non
         train_cfg = replace(train_cfg, seed=seed_override)
     train_cfg.validate()
 
-    gen_cfg = None
-    gen_seed = _gen_seed(kv)
-    if gen_keys_present:
-        gen_cfg = _build_gen_config(kv)
-        gen_cfg.validate()
-
+    gen_cfg, gen_seed = _gen_settings(kv) if gen_keys_present else (None, 0)
     return ExperimentSpec(
         train=train_cfg,
         out_dir=str(out_dir),
@@ -218,10 +212,7 @@ def cmd_gen_data(args) -> int:
     unknown = sorted(set(kv) - set(GEN_KEYS))
     if unknown:
         raise ConfigError(f"unknown generator keys: {', '.join(unknown)}")
-    cfg = _build_gen_config(kv)
-    cfg.validate()
-    seed = _gen_seed(kv, args.seed)
-    ds = gen_synthetic(cfg, seed)
+    ds = gen_synthetic(*_gen_settings(kv, args.seed))
     save_csv(ds, args.out)
     print(f"wrote {args.out}: labeled={len(ds.labeled)} unlabeled={len(ds.unlabeled)} test={len(ds.test)}")
     return 0
@@ -281,7 +272,6 @@ def cmd_ablate(args) -> int:
         variant = replace(spec, train=replace(spec.train, lam_oc=lam_oc, lam_fm=0.0))
         history = _train_and_save(variant, dataset, out_dir / name)
         rows.append((name, spec.train.seed, lam_oc, history.records[-1].auroc_seen))
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "ablation.csv", "w", encoding="utf-8") as fh:
         fh.write("variant,seed,lam_oc,auroc_seen\n")
         for name, seed, lam_oc, score in rows:
@@ -294,6 +284,10 @@ def cmd_ablate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="openset-ssl", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    spec_args = argparse.ArgumentParser(add_help=False)  # train and ablate
+    spec_args.add_argument("--config", required=True, help="experiment spec file")
+    spec_args.add_argument("--out", default=None, help="override out_dir")
+    spec_args.add_argument("--seed", type=int, default=None, help="override the training seed")
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset CSV")
     p.add_argument("--config", required=True, help="generator config (gen_* keys)")
@@ -301,10 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override gen_seed")
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train a model from an experiment spec")
-    p.add_argument("--config", required=True, help="experiment spec file")
-    p.add_argument("--out", default=None, help="override out_dir")
-    p.add_argument("--seed", type=int, default=None, help="override the training seed")
+    p = sub.add_parser("train", parents=[spec_args], help="train a model from an experiment spec")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset CSV")
@@ -314,10 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=20, help="histogram bin count")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", help="compare training with and without the consistency term")
-    p.add_argument("--config", required=True, help="experiment spec file")
-    p.add_argument("--out", default=None, help="override out_dir")
-    p.add_argument("--seed", type=int, default=None, help="override the training seed")
+    p = sub.add_parser("ablate", parents=[spec_args], help="compare training with and without the consistency term")
     p.set_defaults(func=cmd_ablate)
     return parser
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GenerationError, ParseError
+from .errors import ConfigError, GenerationError, ParseError, check_at_least
 
 TAG_INLIER = 0
 TAG_SEEN_OUTLIER = 1
@@ -126,13 +126,10 @@ class GenConfig:
     max_center_retries: int = 10000
 
     def validate(self) -> None:
-        for name, low in (("k_classes", 1), ("n_seen_outlier", 0), ("n_unseen_outlier", 0), ("d_in", 1),
-                          ("labels_per_class", 1), ("unlabeled_per_outlier", 0), ("test_per_class", 0),
-                          ("test_per_outlier", 0), ("cluster_sigma", 0), ("min_center_distance", 0),
-                          ("max_center_retries", 1)):
-            value = getattr(self, name)
-            if not value >= low:  # written so that nan fails it
-                raise ConfigError(f"{name} must be >= {low}, got {value}")
+        check_at_least(self, (("k_classes", 1), ("n_seen_outlier", 0), ("n_unseen_outlier", 0), ("d_in", 1),
+                              ("labels_per_class", 1), ("unlabeled_per_outlier", 0), ("test_per_class", 0),
+                              ("test_per_outlier", 0), ("cluster_sigma", 0), ("min_center_distance", 0),
+                              ("max_center_retries", 1)))
         if not self.center_box > 0:
             raise ConfigError(f"center_box must be > 0, got {self.center_box}")
         if self.labels_per_class > self.train_per_class:
@@ -161,50 +158,47 @@ def gen_synthetic(cfg: GenConfig, seed: int) -> Dataset:
 
     One table row per cluster, in draw order, gives its label, its tag and
     how many of its points go to the labeled, unlabeled and test splits.
-    GenerationError when the center range overflows or a point is not finite.
+    GenerationError when the center range overflows, a point is not finite
+    or a center or cluster is too large to allocate.
     """
     cfg.validate()
     rng = np.random.default_rng(seed)
     blocks = []  # per cluster: one (x, y, tag) block per split
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
             centers = _place_centers(cfg, rng)
-        except OverflowError as e:
-            raise GenerationError(f"center_box {cfg.center_box!r} is too large: {e}") from e
-        # Built once the centers are placed, so at most max_center_retries rows.
-        n_lab, n_unl = cfg.labels_per_class, cfg.train_per_class - cfg.labels_per_class
-        clusters = (
-            [(j, TAG_INLIER, n_lab, n_unl, cfg.test_per_class) for j in range(cfg.k_classes)]
-            + [(NO_LABEL, TAG_SEEN_OUTLIER, 0, cfg.unlabeled_per_outlier, cfg.test_per_outlier)] * cfg.n_seen_outlier
-            + [(NO_LABEL, TAG_UNSEEN_OUTLIER, 0, 0, cfg.test_per_outlier)] * cfg.n_unseen_outlier
-        )
-        for center, (label, tag, *counts) in zip(centers, clusters):
-            points = center + cfg.cluster_sigma * rng.standard_normal((sum(counts), cfg.d_in))
-            if not np.isfinite(points).all():
-                raise GenerationError(f"cluster_sigma {cfg.cluster_sigma!r} drew a non-finite point")
-            blocks.append([(x, np.full(len(x), label), np.full(len(x), tag))
-                           for x in np.split(points, np.cumsum(counts)[:-1])])
+            # Built once the centers are placed, so at most max_center_retries rows.
+            n_lab, n_unl = cfg.labels_per_class, cfg.train_per_class - cfg.labels_per_class
+            clusters = (
+                [(j, TAG_INLIER, n_lab, n_unl, cfg.test_per_class) for j in range(cfg.k_classes)]
+                + [(NO_LABEL, TAG_SEEN_OUTLIER, 0, cfg.unlabeled_per_outlier, cfg.test_per_outlier)]
+                * cfg.n_seen_outlier
+                + [(NO_LABEL, TAG_UNSEEN_OUTLIER, 0, 0, cfg.test_per_outlier)] * cfg.n_unseen_outlier
+            )
+            for center, (label, tag, *counts) in zip(centers, clusters):
+                points = center + cfg.cluster_sigma * rng.standard_normal((sum(counts), cfg.d_in))
+                if not np.isfinite(points).all():
+                    raise GenerationError(f"cluster_sigma {cfg.cluster_sigma!r} drew a non-finite point")
+                blocks.append([(x, np.full(len(x), label), np.full(len(x), tag))
+                               for x in np.split(points, np.cumsum(counts)[:-1])])
+    except OverflowError as e:  # from the uniform draw of the centers
+        raise GenerationError(f"center_box {cfg.center_box!r} is too large: {e}") from e
+    except (MemoryError, ValueError) as e:  # numpy's refusal of an array too large for memory or for its shape
+        raise GenerationError(f"train_per_class, unlabeled_per_outlier, test_per_class, test_per_outlier and d_in "
+                              f"ask for clusters too large to allocate: {e}") from e
     ds = Dataset(*(Split(*map(np.concatenate, zip(*split))) for split in zip(*blocks)),
                  k_classes=cfg.k_classes, d_in=cfg.d_in)
     ds.validate()
     return ds
 
 
-def augment_weak(x: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Additive Gaussian jitter at scale sigma."""
-    x = np.asarray(x, dtype=np.float64)
-    if sigma == 0.0:
-        return x.copy()
-    return x + sigma * rng.standard_normal(x.shape)
-
-
-def augment_strong(x: np.ndarray, sigma: float, mask_prob: float, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian jitter at scale sigma, then each coordinate zeroed with probability mask_prob."""
+def augment(x: np.ndarray, sigma: float, mask_prob: float, rng: np.random.Generator) -> np.ndarray:
+    """Gaussian jitter at scale sigma, then each coordinate zeroed with
+    probability mask_prob. A weak view has mask_prob 0 and draws no mask."""
     x = np.asarray(x, dtype=np.float64)
     out = x.copy() if sigma == 0.0 else x + sigma * rng.standard_normal(x.shape)
     if mask_prob > 0.0:
-        keep = rng.random(x.shape) >= mask_prob
-        out = out * keep
+        out = out * (rng.random(x.shape) >= mask_prob)
     return out
 
 

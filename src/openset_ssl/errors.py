@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one range check.
 
 The CLI maps these onto exit codes by base class: a NumericError (a
 numeric failure during training) exits with 3, and every other
@@ -33,3 +33,12 @@ class NumericError(OpenSetSSLError):
 
 class MetricError(OpenSetSSLError):
     """A requested metric is undefined for the given inputs."""
+
+
+def check_at_least(config, bounds) -> None:
+    """ConfigError naming the first (name, low) of bounds whose field of
+    config is below low. Written so that nan fails it."""
+    for name, low in bounds:
+        value = getattr(config, name)
+        if not value >= low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")

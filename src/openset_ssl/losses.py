@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import augment_strong, augment_weak
+from .data import augment
 from .errors import ConfigError
 from .model import ModelParams, classify_closed, feature_extract, ova_probs
 
@@ -191,12 +191,12 @@ def loss_all(
         terms["l_em"] = (loss_em(forward(ova_probs, u)), float(config.lam_em))
     if config.lam_oc > 0.0:
         head = ova_probs if config.socr_head == "ova" else classify_closed
-        v1 = augment_weak(u, config.weak_noise_sigma, rng)
-        v2 = augment_weak(u, config.weak_noise_sigma, rng)
+        v1 = augment(u, config.weak_noise_sigma, 0.0, rng)
+        v2 = augment(u, config.weak_noise_sigma, 0.0, rng)
         terms["l_oc"] = (loss_socr(forward(head, v1), forward(head, v2)), float(config.lam_oc))
     if epoch > config.e_fix and config.lam_fm > 0.0:
-        weak = augment_weak(i_batch, config.weak_noise_sigma, rng)
-        strong = augment_strong(i_batch, config.strong_noise_sigma, config.strong_mask_prob, rng)
+        weak = augment(i_batch, config.weak_noise_sigma, 0.0, rng)
+        strong = augment(i_batch, config.strong_noise_sigma, config.strong_mask_prob, rng)
         with ad.no_grad():
             q = forward(classify_closed, weak).data
         fm, mask_count = loss_fixmatch(q, forward(classify_closed, strong), config.tau)

@@ -79,8 +79,8 @@ def _from_list(arrays: list[np.ndarray], k_classes: int) -> ModelParams:
 
 
 def init_params(d_in: int, hidden: Sequence[int], k_classes: int, rng: np.random.Generator) -> ModelParams:
-    if d_in < 1 or k_classes < 1:
-        raise ConfigError(f"need d_in >= 1 and k_classes >= 1, got {d_in}, {k_classes}")
+    if d_in < 1 or k_classes < 2:
+        raise ConfigError(f"need d_in >= 1 and k_classes >= 2, got {d_in}, {k_classes}")
     if any(h < 1 for h in hidden):
         raise ConfigError(f"hidden widths must be positive, got {tuple(hidden)}")
     arrays = []
@@ -237,15 +237,15 @@ def _checkpoint_meta(path, archive: zipfile.ZipFile) -> dict:
         found = meta.get("format") if isinstance(meta, dict) else None
         raise ParseError(f"{path}: unsupported checkpoint format {found!r}")
 
-    def positive_int(v) -> bool:
-        return type(v) is int and v >= 1
+    def int_at_least(v, low=1) -> bool:
+        return type(v) is int and v >= low
 
     hidden = meta.get("hidden")
     if not (
-        positive_int(meta.get("k_classes"))
-        and positive_int(meta.get("d_in"))
+        int_at_least(meta.get("k_classes"), 2)  # the closed head's softmax needs two classes
+        and int_at_least(meta.get("d_in"))
         and isinstance(hidden, list)
-        and all(positive_int(h) for h in hidden)
+        and all(int_at_least(h) for h in hidden)
         and isinstance(meta.get("config"), dict)
     ):
         raise ParseError(f"{path}: malformed checkpoint meta")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .data import Dataset, sample_batches
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_at_least
 from .evaluation import OUTLIER, MetricsRecord, evaluate_params, predict_open
 from .losses import loss_all
 from .model import ModelParams, init_params
@@ -49,11 +49,8 @@ class TrainConfig:
     strong_mask_prob: float = 0.25
 
     def validate(self) -> None:
-        for name, low in (("b", 1), ("mu", 1), ("lam_em", 0), ("lam_oc", 0), ("lam_fm", 0), ("i_max", 1),
-                          ("momentum", 0), ("seed", 0), ("eval_every", 1), ("weak_noise_sigma", 0)):
-            value = getattr(self, name)
-            if not value >= low:  # each range check is written so that nan fails it
-                raise ConfigError(f"{name} must be >= {low}, got {value}")
+        check_at_least(self, (("b", 1), ("mu", 1), ("lam_em", 0), ("lam_oc", 0), ("lam_fm", 0), ("i_max", 1),
+                              ("momentum", 0), ("seed", 0), ("eval_every", 1), ("weak_noise_sigma", 0)))
         if not 1 <= self.e_fix <= self.e_max:
             raise ConfigError(f"need 1 <= e_fix <= e_max, got e_fix={self.e_fix}, e_max={self.e_max}")
         if not self.lr > 0.0:

@@ -9,7 +9,7 @@ from typing import Callable, Sequence, get_type_hints
 import numpy as np
 
 from openset_ssl.autodiff import Tensor, no_grad
-from openset_ssl.data import augment_strong, augment_weak
+from openset_ssl.data import augment
 from openset_ssl.errors import ConfigError, NumericError
 from openset_ssl.evaluation import METRICS_KEY_ORDER, MetricsRecord
 from openset_ssl.losses import loss_fixmatch, loss_socr
@@ -92,8 +92,8 @@ def ova(params, x) -> Tensor:
 def socr_on(params, u, config, rng, head=ova) -> Tensor:
     """loss_socr on two weak views of u at config's noise scale, drawn and
     forwarded as loss_all does."""
-    v1 = augment_weak(u, config.weak_noise_sigma, rng)
-    v2 = augment_weak(u, config.weak_noise_sigma, rng)
+    v1 = augment(u, config.weak_noise_sigma, 0.0, rng)
+    v2 = augment(u, config.weak_noise_sigma, 0.0, rng)
     return loss_socr(head(params, v1), head(params, v2))
 
 
@@ -107,6 +107,6 @@ def fixmatch_on_views(params, weak, strong, tau) -> tuple[Tensor, int]:
 def fixmatch_on(params, i_batch, config, rng, tau) -> tuple[Tensor, int]:
     """loss_fixmatch on a weak and a strong view of i_batch at config's noise
     scales, drawn as loss_all draws them."""
-    weak = augment_weak(i_batch, config.weak_noise_sigma, rng)
-    strong = augment_strong(i_batch, config.strong_noise_sigma, config.strong_mask_prob, rng)
+    weak = augment(i_batch, config.weak_noise_sigma, 0.0, rng)
+    strong = augment(i_batch, config.strong_noise_sigma, config.strong_mask_prob, rng)
     return fixmatch_on_views(params, weak, strong, tau)

@@ -2,6 +2,7 @@
 reproducibility, and exit codes."""
 
 import io
+import json
 import os
 import platform
 import re
@@ -23,7 +24,7 @@ from openset_ssl import cli
 from openset_ssl.cli import main, parse_kv_file, resolve_spec, snapshot_text
 from openset_ssl.data import GenConfig, load_csv
 from openset_ssl.errors import ConfigError, ParseError
-from openset_ssl.model import init_params, load_checkpoint, save_checkpoint
+from openset_ssl.model import CHECKPOINT_FORMAT, init_params, load_checkpoint, save_checkpoint
 from openset_ssl.trainer import TrainConfig
 from oracles import read_metrics
 from test_csv import MUTATION, mutate
@@ -449,6 +450,19 @@ class TestEvalCmd:
         assert f"--bins {10**12} is too large" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_class_checkpoint_exits_2_naming_it(self, tmp_path, capsys):
+        """A one-class model cannot score (its closed head has one entry),
+        so its checkpoint is refused by name, not by the softmax."""
+        ckpt, gen_cfg, data, out = tmp_path / "one.npz", tmp_path / "gen.cfg", tmp_path / "data.csv", tmp_path / "ev"
+        one_class_checkpoint(ckpt)
+        gen_cfg.write_text(GEN_LINES.replace("gen_k_classes = 2", "gen_k_classes = 1")
+                           .replace("gen_d_in = 3", "gen_d_in = 2"))
+        assert main(["gen-data", "--config", str(gen_cfg), "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {ckpt}: malformed checkpoint meta\n"
+        assert not out.exists()
+
     def test_unseen_token_omitted_when_absent(self, tmp_path):
         spec = write_spec(
             tmp_path,
@@ -607,6 +621,15 @@ def rewrite_member(archive: bytes, name: str, edit) -> bytes:
             content = src.read(member)
             dst.writestr(member, edit(content) if member == f"{name}.npy" else content)
     return out.getvalue()
+
+
+def one_class_checkpoint(path) -> None:
+    """The file save_checkpoint wrote for init_params(2, (4,), 1, rng) when
+    a one-class model could still be built."""
+    meta = {"format": CHECKPOINT_FORMAT, "k_classes": 1, "d_in": 2, "hidden": [4], "config": {}}
+    shapes = {"ext0_w": (2, 4), "ext0_b": (4,), "closed_w": (4, 1), "closed_b": (1,), "ova_w": (4, 2), "ova_b": (2,)}
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta, sort_keys=True)), **{n: np.full(s, 0.1) for n, s in shapes.items()})
 
 
 @pytest.fixture(scope="module")
@@ -773,10 +796,15 @@ def test_mutated_spec_exits_0_2_or_3(tmp_path, capsys, mutation):
 # Values a spec key may take, by its field's type: small counts, weights
 # including 0 (and tau of 1), a few hidden stacks, both heads. With e_max
 # and i_max drawn from the counts the budget stays at most 2 x 2 steps.
+# The generator counts that size the clusters may also be 10**13, which
+# numpy refuses at once (tens of TiB).
 VALUES_BY_TYPE = {int: ("0", "1", "2"), float: ("0", "0.5", "1"), tuple[int, ...]: ("", "1", "2,2"),
                   str: ("ova", "closed")}
 TYPED_VALUES = {prefix + f.name: VALUES_BY_TYPE[get_type_hints(cls)[f.name]]
                 for cls, prefix in ((TrainConfig, ""), (GenConfig, "gen_")) for f in fields(cls)}
+for key in ("gen_train_per_class", "gen_unlabeled_per_outlier", "gen_test_per_class", "gen_test_per_outlier",
+            "gen_d_in"):
+    TYPED_VALUES[key] += (str(10**13),)
 
 
 @st.composite
@@ -899,6 +927,7 @@ def test_nonfinite_setting_exits_2_naming_it(tmp_path, capsys, command, line, na
     exits_2_naming(tmp_path, capsys, command, line, named)
 
 
+SIZE_MESSAGE = "train_per_class, unlabeled_per_outlier, test_per_class, test_per_outlier and d_in ask for clusters"
 # command, config line, what stderr must name: the field out of range and its value
 OUT_OF_RANGE_SETTINGS = [
     ("gen-data", "gen_center_box = 0", "error: center_box must be > 0, got 0.0\n"),
@@ -909,6 +938,11 @@ OUT_OF_RANGE_SETTINGS = [
     # centers that cannot be placed: the error names the settings that decide it
     ("gen-data", "gen_min_center_distance = 100", "min_center_distance 100.0, max_center_retries 10000"),
     ("train", "gen_max_center_retries = 1", "max_center_retries 1 and center_box 4.0"),
+    # counts whose clusters numpy refuses at once (tens of TiB): the error
+    # names the settings that size the clusters
+    ("gen-data", "gen_test_per_class = 10000000000000", SIZE_MESSAGE),
+    ("train", "gen_d_in = 10000000000000", SIZE_MESSAGE),
+    ("ablate", "gen_unlabeled_per_outlier = 10000000000000", SIZE_MESSAGE),
 ]
 
 

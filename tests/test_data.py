@@ -18,8 +18,7 @@ from openset_ssl.data import (
     TAG_INLIER,
     TAG_SEEN_OUTLIER,
     TAG_UNSEEN_OUTLIER,
-    augment_strong,
-    augment_weak,
+    augment,
     gen_synthetic,
     load_csv,
     sample_batches,
@@ -128,6 +127,15 @@ class TestGenerator:
         with pytest.raises(error, match=next(iter(change))):
             gen_synthetic(replace(SMALL, **change), seed=0)
 
+    @pytest.mark.parametrize("key", ["train_per_class", "unlabeled_per_outlier", "test_per_class",
+                                     "test_per_outlier", "d_in"])
+    @pytest.mark.parametrize("count", [10**13, 10**20], ids=["unallocatable", "beyond_int64"])
+    def test_unallocatable_size_raises_naming_the_sizes(self, key, count):
+        # 10**13 is tens of TiB, which numpy refuses at once; 10**20 no shape can hold
+        with pytest.raises(GenerationError, match="train_per_class, unlabeled_per_outlier, test_per_class, "
+                                                  "test_per_outlier and d_in ask for clusters too large"):
+            gen_synthetic(replace(SMALL, **{key: count}), seed=0)
+
     def test_more_labels_than_samples_rejected(self):
         from dataclasses import replace
 
@@ -178,7 +186,7 @@ def test_generator_bits_are_pinned(name, cfg, digest):
 class TestAugment:
     def test_weak_zero_sigma_is_identity(self):
         x = np.random.default_rng(0).normal(size=(5, 3))
-        out = augment_weak(x, 0.0, np.random.default_rng(1))
+        out = augment(x, 0.0, 0.0, np.random.default_rng(1))
         np.testing.assert_array_equal(out, x)
         assert out is not x  # fresh array either way
 
@@ -186,7 +194,7 @@ class TestAugment:
         # 1e5 draws: sample mean within 5 sigma / sqrt(n) of zero
         n = 100_000
         x = np.zeros((n, 1))
-        out = augment_weak(x, 0.5, np.random.default_rng(2))
+        out = augment(x, 0.5, 0.0, np.random.default_rng(2))
         tol = 5 * 0.5 / np.sqrt(n)
         assert abs(out.mean()) < tol
         assert abs(out.std() - 0.5) < 0.01
@@ -194,20 +202,31 @@ class TestAugment:
     def test_strong_mask_rate(self):
         n = 100_000
         x = np.ones((n, 1))
-        out = augment_strong(x, 0.0, 0.3, np.random.default_rng(3))
+        out = augment(x, 0.0, 0.3, np.random.default_rng(3))
         rate = np.mean(out == 0.0)
         assert abs(rate - 0.3) < 0.01
 
     def test_strong_mask_prob_one_zeroes_everything(self):
-        out = augment_strong(np.random.default_rng(4).normal(size=(10, 4)), 0.0, 1.0, np.random.default_rng(5))
+        out = augment(np.random.default_rng(4).normal(size=(10, 4)), 0.0, 1.0, np.random.default_rng(5))
         np.testing.assert_array_equal(out, np.zeros((10, 4)))
 
     def test_independent_streams_differ(self):
         x = np.zeros((10, 3))
         rng = np.random.default_rng(6)
-        a = augment_weak(x, 0.5, rng)
-        b = augment_weak(x, 0.5, rng)
+        a = augment(x, 0.5, 0.0, rng)
+        b = augment(x, 0.5, 0.0, rng)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_weak_view_draws_only_the_jitter(self, sigma):
+        """mask_prob 0 draws no mask: the view is x plus the jitter, and the
+        stream moves on by the jitter alone."""
+        x = np.random.default_rng(7).normal(size=(6, 3))
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        out = augment(x, sigma, 0.0, rng)
+        np.testing.assert_array_equal(out, x + sigma * ref.standard_normal(x.shape) if sigma else x)
+        untouched = np.random.default_rng(8)
+        assert rng.bit_generator.state == (ref if sigma else untouched).bit_generator.state
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -222,8 +241,8 @@ class TestAugment:
     def test_shape_preserved(self, seed, n, d):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, d))
-        assert augment_weak(x, 0.5, rng).shape == (n, d)
-        assert augment_strong(x, 1.0, 0.3, rng).shape == (n, d)
+        assert augment(x, 0.5, 0.0, rng).shape == (n, d)
+        assert augment(x, 1.0, 0.3, rng).shape == (n, d)
 
 
 class TestSampleBatches:

@@ -41,6 +41,7 @@ from openset_ssl.evaluation import (
 from openset_ssl.model import init_params, save_checkpoint
 from openset_ssl.trainer import TrainConfig, train
 from oracles import parse_metrics_line, read_metrics
+from test_data import traced_peak_bytes
 
 
 def zeroed(d_in, hidden, k):
@@ -386,6 +387,19 @@ class TestBlockedScoring:
         for key, tag in (("auroc_seen", TAG_SEEN_OUTLIER), ("auroc_unseen", TAG_UNSEEN_OUTLIER)):
             rows = inlier | (test.tag == tag)
             assert float(got[key]) == auroc(scores[rows], ~inlier[rows])
+
+    def test_evaluation_peaks_no_higher_than_the_forward_and_its_outputs(self):
+        """On csv_eval's 140,000-row test split (35 blocks), the metrics
+        evaluate_params takes from the one prediction allocate no more than
+        that prediction holds: the AUROCs rank by binary search over the
+        sorted inlier scores, not through a rank table of every score."""
+        test = gen_synthetic(GenConfig(test_per_class=20000, test_per_outlier=20000), 0).test
+        params = init_params(test.x.shape[1], (64, 64), 4, np.random.default_rng(0))
+        assert len(test) >= 2 * score_block_rows(params)
+        prediction = predict_open(params, test.x)
+        outputs = sum(a.nbytes for a in (prediction.closed_label, prediction.inlier_prob, prediction.verdict))
+        forward = traced_peak_bytes(lambda: predict_open(params, test.x))
+        assert traced_peak_bytes(lambda: evaluate_params(params, test)) <= forward + outputs
 
 
 class TestHistogram:

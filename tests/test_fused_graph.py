@@ -17,7 +17,7 @@ import pytest
 import reference_ops as ref
 from openset_ssl import autodiff as ad
 from openset_ssl.autodiff import Tensor
-from openset_ssl.data import GenConfig, augment_strong, augment_weak, gen_synthetic
+from openset_ssl.data import GenConfig, augment, gen_synthetic
 from openset_ssl.losses import loss_all
 from openset_ssl.model import classify_closed, feature_extract, init_params
 from openset_ssl.trainer import TrainConfig, train
@@ -79,12 +79,12 @@ def ref_loss_all(params, x, y, u, i_batch, config, rng, epoch):
         total = ref.add(total, weighted(ref.tensor_sum(ref.multiply(p, ref.log(p))), -1.0 / len(u), config.lam_em))
     if config.lam_oc > 0.0:
         fwd = ref_ova if config.socr_head == "ova" else ref_closed
-        v1, v2 = augment_weak(u, config.weak_noise_sigma, rng), augment_weak(u, config.weak_noise_sigma, rng)
+        v1, v2 = augment(u, config.weak_noise_sigma, 0.0, rng), augment(u, config.weak_noise_sigma, 0.0, rng)
         gap = ref.subtract(fwd(params, v1), fwd(params, v2))
         total = ref.add(total, weighted(ref.tensor_sum(ref.square(gap)), 1.0 / len(u), config.lam_oc))
     if epoch > config.e_fix and config.lam_fm > 0.0:
-        weak = augment_weak(i_batch, config.weak_noise_sigma, rng)
-        strong = augment_strong(i_batch, config.strong_noise_sigma, config.strong_mask_prob, rng)
+        weak = augment(i_batch, config.weak_noise_sigma, 0.0, rng)
+        strong = augment(i_batch, config.strong_noise_sigma, config.strong_mask_prob, rng)
         with ad.no_grad():
             q = ref_closed(params, weak).data
         confident = q.max(axis=1) >= config.tau

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from openset_ssl.autodiff import Tensor
 from openset_ssl.errors import ConfigError
 from openset_ssl.losses import LossBreakdown, loss_all, loss_cls, loss_em, loss_ova, loss_socr
 from openset_ssl.model import init_params
@@ -125,9 +126,9 @@ class TestLossOva:
         assert before == after
 
     def test_single_class_rejected(self):
-        params = zeroed(2, (), 1)
+        # init_params refuses k = 1, so the one-class head output is built by hand
         with pytest.raises(ConfigError):
-            loss_ova(ova(params, np.zeros((1, 2))), np.array([0]))
+            loss_ova(Tensor(np.full((1, 1, 2), 0.5), requires_grad=True), np.array([0]))
 
     def test_gradient(self):
         params, x, y, _ = random_setup(seed=5)
@@ -177,9 +178,10 @@ class TestLossEm:
 
 class TestConsistency:
     def test_crafted_single_class_value(self):
-        # views produce (0.8, 0.2) and (0.6, 0.4): gap is 0.04 + 0.04
-        params = zeroed(1, (), 1)
-        params.ova_w.data[:] = [[1.0, 0.0]]
+        # views produce (0.8, 0.2) and (0.6, 0.4) at head 0: gap is 0.04 + 0.04;
+        # head 1 reads no input and gives (0.5, 0.5) at both
+        params = zeroed(1, (), 2)
+        params.ova_w.data[:] = [[1.0, 0.0, 0.0, 0.0]]
         v1 = np.array([[math.log(4.0)]])
         v2 = np.array([[math.log(1.5)]])
         val = loss_socr(ova(params, v1), ova(params, v2)).item()

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_ops as ref
-from test_cli import rewrite_member
-from openset_ssl.errors import DimensionError, ParseError
+from test_cli import one_class_checkpoint, rewrite_member
+from openset_ssl.errors import ConfigError, DimensionError, ParseError
 from openset_ssl.evaluation import OUTLIER, predict_open
 from openset_ssl.model import (
     ModelParams,
@@ -82,10 +82,11 @@ class TestHeads:
         np.testing.assert_allclose(closed, [[0.75, 0.25]], rtol=1e-14)
 
     def test_ova_single_class_crafted_logits(self):
-        params = zeroed(2, (), 1)
-        params.ova_b.data[:] = [0.0, math.log(3.0)]
+        # one crafted sub-classifier; the other, at zero logits, stays uniform
+        params = zeroed(2, (), 2)
+        params.ova_b.data[:] = [0.0, math.log(3.0), 0.0, 0.0]
         ova = ova_probs(params, feature_extract(params, np.zeros((1, 2)))).data
-        np.testing.assert_allclose(ova, [[[0.25, 0.75]]], rtol=1e-14)
+        np.testing.assert_allclose(ova, [[[0.25, 0.75], [0.5, 0.5]]], rtol=1e-14)
 
     def test_ova_column_layout(self):
         # sub-classifier j must read columns 2j and 2j+1
@@ -96,7 +97,7 @@ class TestHeads:
         np.testing.assert_allclose(ova[0, 0], [0.5, 0.5], atol=1e-15)
 
     @settings(max_examples=50)
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 5))
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(2, 5))
     def test_ova_rows_sum_to_one(self, seed, batch, k):
         rng = np.random.default_rng(seed)
         params = init_params(3, (4,), k, rng)
@@ -174,6 +175,11 @@ class TestInit:
         for ta, tb in zip(a.parameters(), b.parameters()):
             assert ta.data.tobytes() == tb.data.tobytes()
 
+    def test_single_class_refused(self):
+        # the closed head's softmax needs two classes
+        with pytest.raises(ConfigError, match="k_classes >= 2, got 2, 1"):
+            init_params(2, (4,), 1, np.random.default_rng(0))
+
     def test_parameters_all_require_grad(self):
         params = init_params(5, (7,), 2, np.random.default_rng(6))
         assert len(params.parameters()) == 6
@@ -209,6 +215,12 @@ class TestCheckpoint:
         reloaded, _ = load_checkpoint(tmp_path / "b.npz")
         for ta, tb in zip(loaded.parameters(), reloaded.parameters()):
             assert ta.data.tobytes() == tb.data.tobytes()
+
+    def test_single_class_meta_is_malformed(self, tmp_path):
+        path = tmp_path / "one.npz"
+        one_class_checkpoint(path)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: malformed checkpoint meta")):
+            load_checkpoint(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.npz"
