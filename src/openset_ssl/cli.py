@@ -198,8 +198,8 @@ def load_spec_dataset(spec: ExperimentSpec, config_path, command: str = "train")
 
 
 def _train_and_save(spec: ExperimentSpec, dataset: Dataset, out_dir: Path) -> TrainHistory:
+    history = train(dataset, spec.train)  # before the directory, so a failed run leaves none
     out_dir.mkdir(parents=True, exist_ok=True)
-    history = train(dataset, spec.train)
     spec = replace(spec, out_dir=str(out_dir))
     (out_dir / "resolved.spec").write_text(snapshot_text(spec), encoding="utf-8")
     save_checkpoint(out_dir / "checkpoint.npz", history.final_params, config=dict(snapshot_pairs(spec)))

@@ -213,25 +213,27 @@ def sample_batches(
 
     Returns (labeled x, labeled y, unlabeled batch of mu*b, pseudo-inlier
     batch of mu*b). The pseudo-inlier batch indexes into unlabeled data
-    and comes back empty when the candidate set is empty.
+    and comes back empty when the candidate set is empty. ConfigError
+    naming b and mu when numpy refuses to allocate the batches.
     """
-    if b < 1 or mu < 1:
-        raise ConfigError(f"need b >= 1 and mu >= 1, got {b}, {mu}")
     n_lab = len(view.labeled_x)
     n_unl = len(view.unlabeled_x)
     if n_lab == 0:
         raise ConfigError("cannot sample batches from an empty labeled split")
     if n_unl == 0:
         raise ConfigError("cannot sample batches from an empty unlabeled split")
-    lab_idx = rng.integers(0, n_lab, size=b)
-    unl_idx = rng.integers(0, n_unl, size=mu * b)
     pseudo_inliers = np.asarray(pseudo_inliers, dtype=np.int64)
-    if len(pseudo_inliers) > 0:
-        pick = pseudo_inliers[rng.integers(0, len(pseudo_inliers), size=mu * b)]
-        i_batch = view.unlabeled_x[pick]
-    else:
-        i_batch = np.empty((0, view.unlabeled_x.shape[1]))
-    return view.labeled_x[lab_idx], view.labeled_y[lab_idx], view.unlabeled_x[unl_idx], i_batch
+    try:
+        lab_idx = rng.integers(0, n_lab, size=b)
+        unl_idx = rng.integers(0, n_unl, size=mu * b)
+        if len(pseudo_inliers) > 0:
+            pick = pseudo_inliers[rng.integers(0, len(pseudo_inliers), size=mu * b)]
+            i_batch = view.unlabeled_x[pick]
+        else:
+            i_batch = np.empty((0, view.unlabeled_x.shape[1]))
+        return view.labeled_x[lab_idx], view.labeled_y[lab_idx], view.unlabeled_x[unl_idx], i_batch
+    except (MemoryError, ValueError) as e:  # numpy's refusal of an array too large for memory or for its shape
+        raise ConfigError(f"b ({b}) and mu ({mu}) ask for batches numpy cannot allocate: {e}") from e
 
 
 ROLE_NAMES = ("labeled", "unlabeled", "test")

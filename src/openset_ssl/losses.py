@@ -49,17 +49,9 @@ def _full(shape, g, scale: float) -> np.ndarray:
     return np.full(shape, float(g * scale))
 
 
-def _check_labels(y: np.ndarray, k: int) -> np.ndarray:
-    y = np.asarray(y)
-    if y.size and (y.min() < 0 or y.max() >= k):
-        raise ConfigError(f"labels must lie in [0, {k})")
-    return y.astype(np.int64)
-
-
 def loss_cls(probs: Tensor, y: np.ndarray) -> Tensor:
     """Mean cross-entropy of closed-set probabilities [B, K] against true
     labels: mean(-log(pick(probs, y)))."""
-    y = _check_labels(y, probs.shape[1])
     nll, nll_backward = ad.neg_log_pick(probs.data, y)
 
     def backward(g):
@@ -78,9 +70,6 @@ def loss_ova(p: Tensor, y: np.ndarray) -> Tensor:
     mean(-log(pick(flat, 2y)) - log(pick(flat, 2 hardest + 1))).
     """
     b, k = p.shape[:2]
-    if k < 2:
-        raise ConfigError("one-vs-all loss needs at least 2 classes")
-    y = _check_labels(y, k)
     flat = p.data.reshape((b, 2 * k))       # column 2j is inlier-for-j, 2j+1 outlier-for-j
     neg_logp = np.log(np.maximum(p.data[:, :, 1], ad.LOG_EPS))
     neg_logp[np.arange(b), y] = np.inf      # exclude the true class from the min
@@ -143,8 +132,6 @@ def loss_fixmatch(q: np.ndarray, strong_probs: Tensor, tau: float) -> tuple[Tens
     full batch length rather than the mask count:
     tensor_sum(-log(pick(strong_probs, argmax(q))) * mask) * (1 / B).
     """
-    if not 0.0 < tau <= 1.0:
-        raise ConfigError(f"tau must lie in (0, 1], got {tau}")
     if q.shape != strong_probs.shape:
         raise ConfigError(f"weak and strong views must have equal shapes, got {q.shape} and {strong_probs.shape}")
     pseudo = q.argmax(axis=1)

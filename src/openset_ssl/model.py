@@ -55,9 +55,6 @@ class ModelParams:
     def parameters(self) -> list[Tensor]:
         return [t for layer in self.extractor for t in layer] + [self.closed_w, self.closed_b, self.ova_w, self.ova_b]
 
-    def copy(self) -> "ModelParams":
-        return _from_list([t.data for t in self.parameters()], self.k_classes)
-
 
 def _layout(d_in: int, hidden: Sequence[int], k_classes: int) -> dict[str, tuple[int, ...]]:
     """Array name -> shape of every parameter, in parameters() order."""
@@ -79,15 +76,18 @@ def _from_list(arrays: list[np.ndarray], k_classes: int) -> ModelParams:
 
 
 def init_params(d_in: int, hidden: Sequence[int], k_classes: int, rng: np.random.Generator) -> ModelParams:
+    """Glorot-uniform weights, zero biases. ConfigError naming hidden when
+    numpy refuses to allocate the parameters."""
     if d_in < 1 or k_classes < 2:
         raise ConfigError(f"need d_in >= 1 and k_classes >= 2, got {d_in}, {k_classes}")
-    if any(h < 1 for h in hidden):
-        raise ConfigError(f"hidden widths must be positive, got {tuple(hidden)}")
     arrays = []
-    for shape in _layout(d_in, hidden, k_classes).values():  # Glorot-uniform weights, zero biases
-        limit = np.sqrt(6.0 / sum(shape))
-        arrays.append(rng.uniform(-limit, limit, size=shape) if len(shape) == 2 else np.zeros(shape))
-    return _from_list(arrays, k_classes)
+    try:
+        for shape in _layout(d_in, hidden, k_classes).values():
+            limit = np.sqrt(6.0 / sum(shape))
+            arrays.append(rng.uniform(-limit, limit, size=shape) if len(shape) == 2 else np.zeros(shape))
+        return _from_list(arrays, k_classes)
+    except (MemoryError, ValueError) as e:  # numpy's refusal of an array too large for memory or for its shape
+        raise ConfigError(f"hidden {tuple(hidden)} asks for parameters numpy cannot allocate: {e}") from e
 
 
 def feature_extract(params: ModelParams, x) -> Tensor:

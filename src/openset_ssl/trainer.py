@@ -110,6 +110,7 @@ _EMPTY_INDEX = np.empty(0, dtype=np.int64)
 
 def train(dataset: Dataset, config: TrainConfig, initial_pseudo_inliers: np.ndarray | None = None) -> TrainHistory:
     config.validate()
+    dataset.validate()
     view = dataset.train_view()
     rng = np.random.default_rng(config.seed)
     params = init_params(dataset.d_in, config.hidden, dataset.k_classes, rng)

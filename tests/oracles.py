@@ -75,7 +75,7 @@ def parse_metrics_line(line: str) -> MetricsRecord:
 
 
 def read_metrics(path) -> list[MetricsRecord]:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return [parse_metrics_line(line) for line in fh if line.strip()]
 
 

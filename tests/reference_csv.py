@@ -18,7 +18,7 @@ from openset_ssl.errors import ConfigError, ParseError
 
 
 def save_csv(ds: Dataset, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["role", "label", "tag"] + [f"f{i}" for i in range(ds.d_in)])
         for role, split in zip(ROLE_NAMES, (ds.labeled, ds.unlabeled, ds.test)):
@@ -29,7 +29,7 @@ def save_csv(ds: Dataset, path) -> None:
 
 
 def _first_nonfinite(path) -> str:
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         lineno = reader.line_num + 1  # the line the next row starts on
@@ -44,7 +44,7 @@ def _first_nonfinite(path) -> str:
 def load_csv(path) -> Dataset:
     rows: dict[str, list[tuple[int, int, list[float]]]] = {r: [] for r in ROLE_NAMES}
     try:
-        with open(path, newline="") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             lineno = 1  # the line the row being read starts on; a quoted field may span lines
             try:

@@ -796,14 +796,15 @@ def test_mutated_spec_exits_0_2_or_3(tmp_path, capsys, mutation):
 # Values a spec key may take, by its field's type: small counts, weights
 # including 0 (and tau of 1), a few hidden stacks, both heads. With e_max
 # and i_max drawn from the counts the budget stays at most 2 x 2 steps.
-# The generator counts that size the clusters may also be 10**13, which
-# numpy refuses at once (tens of TiB).
+# The generator counts that size the clusters, and the counts that size the
+# parameters and a step's batches, may also be 10**13, which numpy refuses
+# at once (tens of TiB).
 VALUES_BY_TYPE = {int: ("0", "1", "2"), float: ("0", "0.5", "1"), tuple[int, ...]: ("", "1", "2,2"),
                   str: ("ova", "closed")}
 TYPED_VALUES = {prefix + f.name: VALUES_BY_TYPE[get_type_hints(cls)[f.name]]
                 for cls, prefix in ((TrainConfig, ""), (GenConfig, "gen_")) for f in fields(cls)}
 for key in ("gen_train_per_class", "gen_unlabeled_per_outlier", "gen_test_per_class", "gen_test_per_outlier",
-            "gen_d_in"):
+            "gen_d_in", "b", "mu", "hidden"):
     TYPED_VALUES[key] += (str(10**13),)
 
 
@@ -943,6 +944,14 @@ OUT_OF_RANGE_SETTINGS = [
     ("gen-data", "gen_test_per_class = 10000000000000", SIZE_MESSAGE),
     ("train", "gen_d_in = 10000000000000", SIZE_MESSAGE),
     ("ablate", "gen_unlabeled_per_outlier = 10000000000000", SIZE_MESSAGE),
+    # counts that size the parameters or a step's batches: refused at once,
+    # or past numpy's largest dimension (10**20), before any out_dir exists
+    ("train", "hidden = 10000000000000", "hidden (10000000000000,) asks for parameters"),
+    ("ablate", "hidden = 64,100000000000000000000", "hidden (64, 100000000000000000000) asks for parameters"),
+    ("train", "b = 10000000000000", "b (10000000000000) and mu (2) ask for batches"),
+    ("ablate", "b = 100000000000000000000", "b (100000000000000000000) and mu (2) ask for batches"),
+    ("train", "mu = 10000000000000", "b (6) and mu (10000000000000) ask for batches"),
+    ("train", "mu = 100000000000000000000", "b (6) and mu (100000000000000000000) ask for batches"),
 ]
 
 

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openset_ssl.autodiff import Tensor
 from openset_ssl.errors import ConfigError
 from openset_ssl.losses import LossBreakdown, loss_all, loss_cls, loss_em, loss_ova, loss_socr
 from openset_ssl.model import init_params
@@ -67,11 +66,6 @@ class TestLossCls:
         expected /= len(x)
         assert loss_cls(closed(params, x), y).item() == pytest.approx(expected, rel=1e-12)
 
-    def test_label_out_of_range(self):
-        params = zeroed(2, (), 3)
-        with pytest.raises(ConfigError):
-            loss_cls(closed(params, np.zeros((1, 2))), np.array([3]))
-
     def test_gradient(self):
         params, x, y, _ = random_setup(seed=3)
         err = grad_check(lambda: loss_cls(closed(params, x), y), params.parameters())
@@ -124,11 +118,6 @@ class TestLossOva:
         params.ova_w.data[0, 5] -= 1e-3
         after = loss_ova(ova(params, x), y).item()
         assert before == after
-
-    def test_single_class_rejected(self):
-        # init_params refuses k = 1, so the one-class head output is built by hand
-        with pytest.raises(ConfigError):
-            loss_ova(Tensor(np.full((1, 1, 2), 0.5), requires_grad=True), np.array([0]))
 
     def test_gradient(self):
         params, x, y, _ = random_setup(seed=5)
@@ -270,11 +259,6 @@ class TestFixmatch:
         params = zeroed(2, (), 2)
         loss, count = fixmatch_on(params, np.empty((0, 2)), AUG, np.random.default_rng(0), tau=0.95)
         assert loss.item() == 0.0 and count == 0
-
-    def test_invalid_tau(self):
-        params = zeroed(2, (), 2)
-        with pytest.raises(ConfigError):
-            fixmatch_on_views(params, np.zeros((1, 2)), np.zeros((1, 2)), tau=0.0)
 
     def test_gradient(self):
         params, _, _, u = random_setup(seed=16, b=4)

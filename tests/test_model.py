@@ -288,13 +288,6 @@ def test_checkpoint_member_names_are_pinned(tmp_path):
                                       "closed_w.npy", "closed_b.npy", "ova_w.npy", "ova_b.npy"]
 
 
-def test_copy_is_deep():
-    params = init_params(3, (4,), 2, np.random.default_rng(11))
-    dup = params.copy()
-    dup.closed_w.data[:] = 0.0
-    assert not np.all(params.closed_w.data == 0.0)
-
-
 def _views_of_flat(params):
     tensors = params.parameters()
     assert params.flat.dtype == np.float64 and params.flat.ndim == 1
@@ -312,8 +305,3 @@ def test_parameters_are_views_of_one_flat_vector(hidden, tmp_path):
     loaded, _ = load_checkpoint(tmp_path / "m.npz")
     _views_of_flat(loaded)
     assert loaded.flat.tobytes() == params.flat.tobytes()
-    dup = params.copy()
-    _views_of_flat(dup)
-    assert dup.flat.tobytes() == params.flat.tobytes()
-    assert not any(np.shares_memory(a.data, params.flat) for a in dup.parameters())
-    assert not np.shares_memory(dup.flat, params.flat)

@@ -10,7 +10,7 @@ import pytest
 
 import openset_ssl.trainer as trainer_mod
 import reference_ops as ref
-from openset_ssl.data import GenConfig, gen_synthetic, sample_batches
+from openset_ssl.data import NO_LABEL, TAG_SEEN_OUTLIER, GenConfig, gen_synthetic, sample_batches
 from openset_ssl.errors import ConfigError, NumericError
 from openset_ssl.losses import loss_cls, loss_ova
 from openset_ssl.model import init_params
@@ -309,6 +309,22 @@ class TestTrainLoop:
     def test_invalid_config_rejected_before_work(self):
         with pytest.raises(ConfigError):
             train(dataset(), replace(FAST, e_fix=5, e_max=2))
+
+    @pytest.mark.parametrize("case", ["label_out_of_range", "outlier_row"])
+    def test_invalid_dataset_rejected_before_any_batch(self, monkeypatch, case):
+        # Dataset.validate is the one check of the labels: a hand-built
+        # dataset is refused at train()'s entry, before a batch is drawn
+        ds = dataset()
+        if case == "label_out_of_range":
+            ds.labeled.y[0], named = ds.k_classes, "labeled split has an inlier label outside [0, 3)"
+        else:
+            ds.labeled.y[0], ds.labeled.tag[0] = NO_LABEL, TAG_SEEN_OUTLIER
+            named = "labeled split may contain only inliers"
+        drawn = []
+        monkeypatch.setattr(trainer_mod, "sample_batches", lambda *args: drawn.append(args) or sample_batches(*args))
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            train(ds, FAST)
+        assert drawn == []
 
 
 def supervised_config(config: TrainConfig) -> TrainConfig:
