@@ -21,10 +21,25 @@ softmax only writes its length-2 reductions out elementwise. Gradients
 and trained parameters are therefore bit-identical to the generic-op
 graph's; the tests keep that graph (tests/reference_ops.py) as the
 reference.
+
+Inside helper_thread(), one helper thread runs the jobs that offload()
+hands it, one at a time, so a caller can run one matmul there while it
+runs an independent one itself (the extractor backward does: see
+model.feature_extract). The thread lives only as long as the block:
+trainer.train opens it around its epoch loop, so no thread of the
+package is alive outside train(), when data._two_processes forks or
+when the process exits. Outside the block offload() runs the job at
+once on the calling thread. A job is plain numpy on arrays its caller
+already holds: it records no graph node, because graph recording reads
+the process-global no_grad() state, which the main thread changes
+around the weak view's forward. A job's exception, MemoryError
+included, is raised again on the thread that waits for the job.
 """
 
 from __future__ import annotations
 
+import queue
+import threading
 from contextlib import contextmanager
 from typing import Callable, Iterable
 
@@ -37,6 +52,8 @@ LOG_EPS = 1e-12
 
 _grad_enabled = True
 
+_helper_jobs: queue.SimpleQueue | None = None  # the open helper thread's job queue
+
 
 @contextmanager
 def no_grad():
@@ -48,6 +65,59 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+@contextmanager
+def helper_thread():
+    """Run offload()'s jobs on one helper thread inside the block; the
+    thread is joined when the block ends, on an error too."""
+    global _helper_jobs
+    prev = _helper_jobs
+    jobs = queue.SimpleQueue()
+    thread = threading.Thread(target=_serve, args=(jobs,), name="openset_ssl.helper")
+    thread.start()
+    _helper_jobs = jobs
+    try:
+        yield
+    finally:
+        _helper_jobs = prev
+        jobs.put(None)  # the jobs already queued run first
+        thread.join()
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    while (job := jobs.get()) is not None:
+        fn, args, done = job
+        try:
+            fn(*args)
+            error = None
+        except BaseException as e:  # raised again by the waiting thread
+            error = e
+        # Let go of the job's arrays before the waiting thread wakes: they
+        # are then freed on that thread's schedule, and the heap's layout
+        # does not depend on how the two threads interleave.
+        del job, fn, args
+        done.put(error)
+
+
+def offload(fn, *args) -> Callable[[], None]:
+    """Start fn(*args) on the helper thread, or run it now when no
+    helper_thread() block is open. fn works by side effect: it writes
+    into an array that the caller allocated and holds. Returns a function
+    that waits for fn to finish and raises its exception, if any. fn must
+    not record graph nodes."""
+    if _helper_jobs is None:
+        fn(*args)
+        return lambda: None
+    done = queue.SimpleQueue()  # this job's own result slot
+    _helper_jobs.put((fn, args, done))
+
+    def wait() -> None:
+        error = done.get()
+        if error is not None:
+            raise error
+
+    return wait
 
 
 class Tensor:
@@ -119,11 +189,16 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add g into t.grad; a no-op for tensors that need no gradient."""
+def accumulate(t: Tensor, g: np.ndarray, own: bool = False) -> None:
+    """Add g into t.grad; a no-op for tensors that need no gradient. With
+    own, g is the caller's own buffer, and the sum t.grad + g is written
+    into it instead of a new array."""
     if not t.requires_grad:
         return
-    t.grad = g if t.grad is None else t.grad + g
+    if t.grad is None:
+        t.grad = g
+    else:
+        t.grad = np.add(t.grad, g, out=g if own else None)
 
 
 def make_node(data: np.ndarray, parents: Iterable[Tensor], backward) -> Tensor:

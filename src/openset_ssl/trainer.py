@@ -10,6 +10,10 @@ consuming that set on the following epoch.
 Everything is driven by one seeded generator in a fixed draw order:
 parameter init, then per-step batch indices and augmentation noise.
 Runs with equal configs and seeds are bit-identical.
+
+train() opens autodiff's helper thread around its epoch loop, so the
+wide extractor backward uses a second core (model.feature_extract), and
+joins it before it returns or raises.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Dataset, sample_batches
 from .errors import ConfigError, NumericError, check_at_least
@@ -120,44 +125,45 @@ def train(dataset: Dataset, config: TrainConfig, initial_pseudo_inliers: np.ndar
 
     records: list[MetricsRecord] = []
     k_sizes: list[int] = []
-    for epoch in range(1, config.e_max + 1):
-        sums = np.zeros(5)  # l_cls, l_ova, l_em, l_oc, l_fm
-        consume_pseudo = epoch > config.e_fix
-        for it in range(1, config.i_max + 1):
-            xb, yb, ub, ib = sample_batches(
-                view, config.b, config.mu, pseudo if consume_pseudo else _EMPTY_INDEX, rng
-            )
-            total, bd = loss_all(params, xb, yb, ub, ib, config, rng, epoch)
-            if not np.isfinite(bd.l_all):
-                raise NumericError(f"non-finite loss at epoch {epoch}, iteration {it}")
-            total.backward()
-            try:
-                sgd_step(params.flat, gather_grads(tensors, grad), velocity, config.lr, config.momentum)
-            except NumericError as e:
-                raise NumericError(f"{e} (epoch {epoch}, iteration {it})") from e
-            sums += (bd.l_cls, bd.l_ova, bd.l_em, bd.l_oc, bd.l_fm)
-
-        if epoch >= config.e_fix:
-            pseudo = select_pseudo_inliers(params, view.unlabeled_x)
-            k_sizes.append(len(pseudo))
-        else:
-            k_sizes.append(0)
-
-        if epoch % config.eval_every == 0 or epoch == config.e_max:
-            result = evaluate_params(params, dataset.test)
-            means = sums / config.i_max
-            records.append(
-                MetricsRecord(
-                    epoch=epoch,
-                    l_cls=means[0],
-                    l_ova=means[1],
-                    l_em=means[2],
-                    l_oc=means[3],
-                    l_fm=means[4],
-                    err_inlier=result.err_inlier,
-                    auroc_seen=result.auroc_seen,
-                    auroc_unseen=result.auroc_unseen,
-                    k_size=k_sizes[-1],
+    with ad.helper_thread():  # the extractor backward's second thread, for this call only
+        for epoch in range(1, config.e_max + 1):
+            sums = np.zeros(5)  # l_cls, l_ova, l_em, l_oc, l_fm
+            consume_pseudo = epoch > config.e_fix
+            for it in range(1, config.i_max + 1):
+                xb, yb, ub, ib = sample_batches(
+                    view, config.b, config.mu, pseudo if consume_pseudo else _EMPTY_INDEX, rng
                 )
-            )
+                total, bd = loss_all(params, xb, yb, ub, ib, config, rng, epoch)
+                if not np.isfinite(bd.l_all):
+                    raise NumericError(f"non-finite loss at epoch {epoch}, iteration {it}")
+                total.backward()
+                try:
+                    sgd_step(params.flat, gather_grads(tensors, grad), velocity, config.lr, config.momentum)
+                except NumericError as e:
+                    raise NumericError(f"{e} (epoch {epoch}, iteration {it})") from e
+                sums += (bd.l_cls, bd.l_ova, bd.l_em, bd.l_oc, bd.l_fm)
+
+            if epoch >= config.e_fix:
+                pseudo = select_pseudo_inliers(params, view.unlabeled_x)
+                k_sizes.append(len(pseudo))
+            else:
+                k_sizes.append(0)
+
+            if epoch % config.eval_every == 0 or epoch == config.e_max:
+                result = evaluate_params(params, dataset.test)
+                means = sums / config.i_max
+                records.append(
+                    MetricsRecord(
+                        epoch=epoch,
+                        l_cls=means[0],
+                        l_ova=means[1],
+                        l_em=means[2],
+                        l_oc=means[3],
+                        l_fm=means[4],
+                        err_inlier=result.err_inlier,
+                        auroc_seen=result.auroc_seen,
+                        auroc_unseen=result.auroc_unseen,
+                        k_size=k_sizes[-1],
+                    )
+                )
     return TrainHistory(records=records, k_sizes=k_sizes, final_params=params)

@@ -28,6 +28,7 @@ from openset_ssl.data import (
     save_csv,
 )
 from openset_ssl.model import init_params, save_checkpoint
+from openset_ssl.trainer import TrainConfig, train
 
 TINY = GenConfig(k_classes=2, n_seen_outlier=1, n_unseen_outlier=1, d_in=2, train_per_class=4,
                  labels_per_class=2, unlabeled_per_outlier=2, test_per_class=2, test_per_outlier=2,
@@ -467,6 +468,36 @@ def test_failed_read_leaves_no_child(tmp_path, monkeypatch, capsys):
         assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(path), "--out", str(tmp_path / "ev")]) == 2
         assert f"error: {path}: the process reading bytes" in capsys.readouterr().err
         gc.collect()
+    assert len(forked) == 2
+    assert_reaped(forked)
+
+
+def test_fork_after_training_meets_no_package_thread(tmp_path, monkeypatch):
+    """train() joins the helper thread of its wide backward before it
+    returns, so the forks of a later write and read meet no thread of the
+    package (Python 3.12 warns when a process with threads forks)."""
+    ds = gen_synthetic(GenConfig(d_in=32), 0)
+    threads_before = threading.active_count()
+    train(ds, TrainConfig(b=256, hidden=(256, 256), e_fix=1, e_max=1, i_max=2))
+    forked, threads_at_fork = [], []
+    real_fork = os.fork
+
+    def checked_fork():
+        threads_at_fork.append((threading.active_count(),
+                                [t.name for t in threading.enumerate() if t.name.startswith("openset_ssl")]))
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", checked_fork)
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    save_csv(ds, new)
+    got = outcome(load_csv, new)
+    reference_csv.save_csv(ds, ref)
+    assert new.read_bytes() == ref.read_bytes()
+    assert got == outcome(reference_csv.load_csv, ref)
+    assert threads_at_fork == [(threads_before, [])] * 2
     assert len(forked) == 2
     assert_reaped(forked)
 

@@ -5,17 +5,21 @@ sum are single autodiff nodes whose backward repeats the generic ops'
 numpy arithmetic. This module builds the objective from the generic ops
 of reference_ops as the reference and requires the fused
 objective to give the same loss and bit-identical gradients, including
-where the LOG_EPS clamp zeroes a gradient, and pins the parameters of a
-short training run.
+where the LOG_EPS clamp zeroes a gradient, and pins the parameters of
+short training runs. At the wide shapes the extractor backward computes
+weight gradients on autodiff's helper thread; the same references and
+pins hold there.
 """
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
 
 import reference_ops as ref
 from openset_ssl import autodiff as ad
+from openset_ssl import model
 from openset_ssl.autodiff import Tensor
 from openset_ssl.data import GenConfig, augment, gen_synthetic
 from openset_ssl.losses import loss_all
@@ -28,6 +32,15 @@ AUG = dict(weak_noise_sigma=0.3, strong_noise_sigma=0.6, strong_mask_prob=0.2)
 # sha256 over parameters() after train(gen_synthetic(GenConfig(), 0),
 # TrainConfig(e_fix=1, e_max=2, i_max=20)), as the generic-op graph gave it.
 SHORT_RUN_SHA256 = "160afe69a530428cf96809f8ffe6d463bbe6ced4d1dc4ef0be07ccd202425136"
+
+# sha256 over parameters() after train(gen_synthetic(GenConfig(d_in=32), 0),
+# TrainConfig(b=256, hidden=(256, 256), e_fix=1, e_max=2, i_max=5)), as the
+# backward with no helper thread gave it.
+WIDE_RUN_SHA256 = "90f27592dbe29e42efe277a46060b8ff709d4824d0c3598d32a689ef7271e4dc"
+
+# With b = 256 (and 512 unlabeled rows), the gradient g at this model's
+# second layer reaches model.OFFLOAD_MIN_SIZE in every extractor pass.
+WIDE = (256, 256)
 
 
 # --- the generic-op reference objective ------------------------------------
@@ -108,6 +121,32 @@ def setup(hidden, seed=0, b=16):
     return params, x, y, u, i_batch
 
 
+def record_offloads(monkeypatch):
+    """The threads that run the jobs handed to autodiff.offload from now
+    on in this test, one entry per job."""
+    threads = []
+    real_offload = ad.offload
+
+    def recording_offload(fn, *args):
+        def job(*job_args):
+            threads.append(threading.current_thread())
+            fn(*job_args)
+
+        return real_offload(job, *args)
+
+    monkeypatch.setattr(ad, "offload", recording_offload)
+    return threads
+
+
+def on_the_helper(threads):
+    """True when there were jobs and none ran on the main thread."""
+    return bool(threads) and threading.main_thread() not in threads
+
+
+def params_sha256(params):
+    return hashlib.sha256(b"".join(p.data.tobytes() for p in params.parameters())).hexdigest()
+
+
 def grads(objective, params, *args):
     for t in params.parameters():
         t.zero_grad()
@@ -137,16 +176,20 @@ def config(params, i_batch, socr_head="ova"):
 # --- tests -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("hidden", [(), (5,), (64, 64)])
+@pytest.mark.parametrize("hidden", [(), (5,), (64, 64), WIDE])
 @pytest.mark.parametrize("socr_head", ["ova", "closed"])
 @pytest.mark.parametrize("epoch", [1, 2], ids=["warmup", "selftrain"])
-def test_gradients_bit_identical_to_generic_ops(hidden, socr_head, epoch):
-    params, x, y, u, i_batch = setup(hidden, seed=len(hidden))
+def test_gradients_bit_identical_to_generic_ops(hidden, socr_head, epoch, monkeypatch):
+    """With the helper thread open; only the wide case hands it jobs."""
+    params, x, y, u, i_batch = setup(hidden, seed=len(hidden), b=256 if hidden == WIDE else 16)
     cfg = config(params, i_batch, socr_head)
     _, bd = loss_all(params, x, y, u, i_batch, cfg, np.random.default_rng(5), epoch)
     if epoch > cfg.e_fix:
         assert 0 < bd.fm_mask_count < len(i_batch)  # the pseudo-label mask is exercised
-    assert_same_as_reference(params, x, y, u, i_batch, cfg, epoch)
+    threads = record_offloads(monkeypatch)
+    with ad.helper_thread():
+        assert_same_as_reference(params, x, y, u, i_batch, cfg, epoch)
+    assert on_the_helper(threads) if hidden == WIDE else not threads
 
 
 @pytest.mark.parametrize("epoch", [1, 2], ids=["warmup", "selftrain"])
@@ -201,5 +244,20 @@ def test_backward_releases_every_interior_node(epoch):
 
 def test_short_run_parameters_pinned():
     history = train(gen_synthetic(GenConfig(), 0), TrainConfig(e_fix=1, e_max=2, i_max=20))
-    digest = hashlib.sha256(b"".join(p.data.tobytes() for p in history.final_params.parameters()))
-    assert digest.hexdigest() == SHORT_RUN_SHA256
+    assert params_sha256(history.final_params) == SHORT_RUN_SHA256
+
+
+def test_short_run_parameters_pinned_with_every_layer_on_the_helper(monkeypatch):
+    monkeypatch.setattr(model, "OFFLOAD_MIN_SIZE", 1)
+    threads = record_offloads(monkeypatch)
+    history = train(gen_synthetic(GenConfig(), 0), TrainConfig(e_fix=1, e_max=2, i_max=20))
+    assert params_sha256(history.final_params) == SHORT_RUN_SHA256
+    assert on_the_helper(threads)
+
+
+def test_wide_run_parameters_pinned(monkeypatch):
+    threads = record_offloads(monkeypatch)
+    history = train(gen_synthetic(GenConfig(d_in=32), 0),
+                    TrainConfig(b=256, hidden=WIDE, e_fix=1, e_max=2, i_max=5))
+    assert params_sha256(history.final_params) == WIDE_RUN_SHA256
+    assert on_the_helper(threads)
