@@ -23,17 +23,19 @@ graph's; the tests keep that graph (tests/reference_ops.py) as the
 reference.
 
 Inside helper_thread(), one helper thread runs the jobs that offload()
-hands it, one at a time, so a caller can run one matmul there while it
-runs an independent one itself (the extractor backward does: see
-model.feature_extract). The thread lives only as long as the block:
-trainer.train opens it around its epoch loop, so no thread of the
-package is alive outside train(), when data._two_processes forks or
-when the process exits. Outside the block offload() runs the job at
-once on the calling thread. A job is plain numpy on arrays its caller
-already holds: it records no graph node, because graph recording reads
+hands it, one at a time, so a caller can run arithmetic there while it
+runs independent arithmetic itself: the extractor forward computes
+every second wide batch there (model.extractor_activations), and its
+backward one weight gradient per wide layer (model.feature_extract).
+The thread lives only as long as the block: trainer.train opens it
+around its epoch loop, so no thread of the package is alive outside
+train(), when data._two_processes forks or when the process exits.
+Outside the block offload() runs the job at once on the calling thread.
+A job is plain numpy on arrays its caller already holds: it records no
+graph node. Graph recording stays on the main thread, because it reads
 the process-global no_grad() state, which the main thread changes
-around the weak view's forward. A job's exception, MemoryError
-included, is raised again on the thread that waits for the job.
+around the weak view's head. A job's exception, MemoryError included,
+is raised again on the thread that waits for the job.
 """
 
 from __future__ import annotations

@@ -153,41 +153,58 @@ def _place_centers(cfg: GenConfig, rng: np.random.Generator) -> np.ndarray:
     )
 
 
+def _draw_splits(cfg: GenConfig, rng: np.random.Generator) -> list[Split]:
+    """The labeled, unlabeled and test splits, each allocated once; every
+    cluster's draw is written straight into them, so the splits and one
+    cluster are held at a time."""
+    centers = _place_centers(cfg, rng)
+    # Built once the centers are placed, so at most max_center_retries rows.
+    n_lab, n_unl = cfg.labels_per_class, cfg.train_per_class - cfg.labels_per_class
+    clusters = (
+        [(j, TAG_INLIER, n_lab, n_unl, cfg.test_per_class) for j in range(cfg.k_classes)]
+        + [(NO_LABEL, TAG_SEEN_OUTLIER, 0, cfg.unlabeled_per_outlier, cfg.test_per_outlier)] * cfg.n_seen_outlier
+        + [(NO_LABEL, TAG_UNSEEN_OUTLIER, 0, 0, cfg.test_per_outlier)] * cfg.n_unseen_outlier
+    )
+    splits = [Split(np.empty((n, cfg.d_in)), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64))
+              for n in map(sum, zip(*(counts for _, _, *counts in clusters)))]
+    filled = [0, 0, 0]  # rows written so far into each split
+    for center, (label, tag, *counts) in zip(centers, clusters):
+        points = rng.standard_normal((sum(counts), cfg.d_in))
+        points *= cfg.cluster_sigma  # center + sigma * draw, bit for bit
+        points += center
+        # min and max pass NaN on, so both are finite exactly when every point is
+        if points.size and not np.isfinite([points.min(), points.max()]).all():
+            raise GenerationError(f"cluster_sigma {cfg.cluster_sigma!r} drew a non-finite point")
+        start = 0
+        for i, (split, n) in enumerate(zip(splits, counts)):
+            rows = slice(filled[i], filled[i] + n)
+            split.x[rows] = points[start:start + n]
+            split.y[rows], split.tag[rows] = label, tag
+            filled[i] += n
+            start += n
+        del points  # before the next draw allocates its own
+    return splits
+
+
 def gen_synthetic(cfg: GenConfig, seed: int) -> Dataset:
     """Draw isotropic Gaussian clusters and split them into the three roles.
 
     One table row per cluster, in draw order, gives its label, its tag and
     how many of its points go to the labeled, unlabeled and test splits.
     GenerationError when the center range overflows, a point is not finite
-    or a center or cluster is too large to allocate.
+    or a center or the splits are too large to allocate.
     """
     cfg.validate()
     rng = np.random.default_rng(seed)
-    blocks = []  # per cluster: one (x, y, tag) block per split
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            centers = _place_centers(cfg, rng)
-            # Built once the centers are placed, so at most max_center_retries rows.
-            n_lab, n_unl = cfg.labels_per_class, cfg.train_per_class - cfg.labels_per_class
-            clusters = (
-                [(j, TAG_INLIER, n_lab, n_unl, cfg.test_per_class) for j in range(cfg.k_classes)]
-                + [(NO_LABEL, TAG_SEEN_OUTLIER, 0, cfg.unlabeled_per_outlier, cfg.test_per_outlier)]
-                * cfg.n_seen_outlier
-                + [(NO_LABEL, TAG_UNSEEN_OUTLIER, 0, 0, cfg.test_per_outlier)] * cfg.n_unseen_outlier
-            )
-            for center, (label, tag, *counts) in zip(centers, clusters):
-                points = center + cfg.cluster_sigma * rng.standard_normal((sum(counts), cfg.d_in))
-                if not np.isfinite(points).all():
-                    raise GenerationError(f"cluster_sigma {cfg.cluster_sigma!r} drew a non-finite point")
-                blocks.append([(x, np.full(len(x), label), np.full(len(x), tag))
-                               for x in np.split(points, np.cumsum(counts)[:-1])])
+            splits = _draw_splits(cfg, rng)
     except OverflowError as e:  # from the uniform draw of the centers
         raise GenerationError(f"center_box {cfg.center_box!r} is too large: {e}") from e
     except (MemoryError, ValueError) as e:  # numpy's refusal of an array too large for memory or for its shape
         raise GenerationError(f"train_per_class, unlabeled_per_outlier, test_per_class, test_per_outlier and d_in "
                               f"ask for clusters too large to allocate: {e}") from e
-    ds = Dataset(*(Split(*map(np.concatenate, zip(*split))) for split in zip(*blocks)),
-                 k_classes=cfg.k_classes, d_in=cfg.d_in)
+    ds = Dataset(*splits, k_classes=cfg.k_classes, d_in=cfg.d_in)
     ds.validate()
     return ds
 

@@ -8,10 +8,14 @@ a confidence-thresholded pseudo-label loss on pseudo-inliers.
 
 loss_all alone draws augmentation views (two weak views of the
 unlabeled batch, then a weak and a strong view of the pseudo-inliers)
-and forwards batches, each through feature_extract and the head its
-term reads; each term takes only head outputs and labels. Per-sample
-sums are normalized by the actual batch length. A term whose weight is
-zero is skipped and reported as 0, and draws and forwards nothing.
+and forwards batches. It draws every view first, has
+model.extractor_activations compute each distinct batch's activations
+once (the wide ones on both cores), and then records the graph: one
+feature_extract node over those activations for each head use, and the
+head its term reads. Each term takes only head outputs and labels.
+Per-sample sums are normalized by the actual batch length. A term whose
+weight is zero is skipped and reported as 0, and draws and forwards
+nothing.
 
 Each term is one autodiff node over the head outputs, and loss_all
 joins the terms in one more node that forms their weighted sum. Each
@@ -30,7 +34,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import augment
 from .errors import ConfigError
-from .model import ModelParams, classify_closed, feature_extract, ova_probs
+from .model import ModelParams, classify_closed, extractor_activations, feature_extract, ova_probs
 
 
 @dataclass
@@ -166,27 +170,33 @@ def loss_all(
     after the self-training warmup (epoch > e_fix); before that the total
     is independent of i_batch.
     """
+    views = {"x": x}  # every distinct batch the step forwards, drawn in one fixed RNG order
+    if config.lam_em > 0.0:
+        views["u"] = u
+    if config.lam_oc > 0.0:
+        views["v1"] = augment(u, config.weak_noise_sigma, 0.0, rng)
+        views["v2"] = augment(u, config.weak_noise_sigma, 0.0, rng)
+    if epoch > config.e_fix and config.lam_fm > 0.0:
+        views["weak"] = augment(i_batch, config.weak_noise_sigma, 0.0, rng)
+        views["strong"] = augment(i_batch, config.strong_noise_sigma, config.strong_mask_prob, rng)
+    acts = dict(zip(views, extractor_activations(params, list(views.values()))))
 
-    def forward(head, batch) -> Tensor:
-        return head(params, feature_extract(params, batch))
+    def forward(head, name) -> Tensor:
+        return head(params, feature_extract(params, views[name], acts[name]))
 
-    cls = loss_cls(forward(classify_closed, x), y)
-    ova = loss_ova(forward(ova_probs, x), y)
+    cls = loss_cls(forward(classify_closed, "x"), y)
+    ova = loss_ova(forward(ova_probs, "x"), y)
     terms = {"l_cls": (cls, 1.0), "l_ova": (ova, 1.0)}
     mask_count = 0
-    if config.lam_em > 0.0:
-        terms["l_em"] = (loss_em(forward(ova_probs, u)), float(config.lam_em))
-    if config.lam_oc > 0.0:
+    if "u" in views:
+        terms["l_em"] = (loss_em(forward(ova_probs, "u")), float(config.lam_em))
+    if "v1" in views:
         head = ova_probs if config.socr_head == "ova" else classify_closed
-        v1 = augment(u, config.weak_noise_sigma, 0.0, rng)
-        v2 = augment(u, config.weak_noise_sigma, 0.0, rng)
-        terms["l_oc"] = (loss_socr(forward(head, v1), forward(head, v2)), float(config.lam_oc))
-    if epoch > config.e_fix and config.lam_fm > 0.0:
-        weak = augment(i_batch, config.weak_noise_sigma, 0.0, rng)
-        strong = augment(i_batch, config.strong_noise_sigma, config.strong_mask_prob, rng)
+        terms["l_oc"] = (loss_socr(forward(head, "v1"), forward(head, "v2")), float(config.lam_oc))
+    if "weak" in views:
         with ad.no_grad():
-            q = forward(classify_closed, weak).data
-        fm, mask_count = loss_fixmatch(q, forward(classify_closed, strong), config.tau)
+            q = forward(classify_closed, "weak").data
+        fm, mask_count = loss_fixmatch(q, forward(classify_closed, "strong"), config.tau)
         terms["l_fm"] = (fm, float(config.lam_fm))
     weighted = list(terms.values())
     value = cls.data + ova.data

@@ -9,6 +9,11 @@ outlier). Sub-classifier j owns columns [2j, 2j+1] of the one-vs-all
 weight matrix. The open-set decision built on these heads lives in
 evaluation.predict_open.
 
+The extractor's forward arithmetic (extractor_activations) is apart from
+its graph node (feature_extract), so a training step computes each
+distinct batch once, the wide ones on two cores, before it records any
+node.
+
 _layout is the one table of the parameters' names and shapes, in
 parameters() order: init_params draws from it, and checkpoints name and
 check their arrays by it. ModelParams.flat holds all parameters in one
@@ -90,22 +95,84 @@ def init_params(d_in: int, hidden: Sequence[int], k_classes: int, rng: np.random
         raise ConfigError(f"hidden {tuple(hidden)} asks for parameters numpy cannot allocate: {e}") from e
 
 
-# The size of a layer's output gradient g from which the extractor
-# backward computes that layer's weight gradient on autodiff's helper
-# thread. It sits at the crossover: four extractor forward-and-backward
-# passes took 0.41 ms on one thread and 0.50 ms on two at 128 x 64 (the
-# default model's largest g, 8,192 elements), and 20.5 ms against 9.75 ms
-# at 512 x 256.
+# The size, in elements, of an extractor array from which part of the
+# extractor's work goes to autodiff's helper thread: a layer's output
+# gradient g in the backward, and a batch's rows times the widest hidden
+# layer in extractor_activations. It sits at the crossover of both, with
+# one BLAS thread. Four extractor forward-and-backward passes took 0.41
+# ms on one thread and 0.50 ms on two at 128 x 64 (the default model's
+# largest g, 8,192 elements), and 20.5 ms against 9.75 ms at 512 x 256.
+# Four forwards (one batch of b rows and three of 2b, hidden h, h) took
+# 0.16 against 0.29 ms at 128 x 64, 0.53 against 0.59 ms at 256 x 64,
+# 1.58 against 1.39 ms at 256 x 128, and 9.9 against 6.7 ms at 512 x 256.
 OFFLOAD_MIN_SIZE = 1 << 15
 
 
-def feature_extract(params: ModelParams, x) -> Tensor:
+def _layers_forward(outs: list[np.ndarray], h: np.ndarray, layers) -> None:
+    """The extractor's arithmetic on the input h, written into outs, one
+    caller-allocated [rows, width] buffer per layer: matmul, bias add and,
+    between layers, relu."""
+    last = len(layers) - 1
+    for i, ((w, b), out) in enumerate(zip(layers, outs)):
+        np.matmul(h, w, out=out)
+        out += b
+        if i < last:
+            np.maximum(out, 0.0, out=out)
+        h = out
+
+
+def extractor_activations(params: ModelParams, batches: Sequence) -> list[list[np.ndarray]]:
+    """Each batch's extractor activations: the input of every layer, then
+    the output (for a model without hidden layers, the input alone). This
+    is the arithmetic of the forward only; feature_extract records it.
+
+    A batch is gated when its rows times the widest hidden layer reach
+    OFFLOAD_MIN_SIZE. Every second gated batch goes to autodiff.offload,
+    which inside train() runs it on the helper thread while this thread
+    computes the others; its buffers are allocated on this thread first.
+    Every matmul still runs whole, on the same operands, so the
+    activations are bit-identical to the sequential forward's. Returns
+    once every batch is done. DimensionError names a batch of the wrong
+    shape before any batch is computed.
+    """
+    inputs = []
+    for x in batches:
+        h = np.asarray(x, dtype=np.float64)
+        if h.ndim != 2 or h.shape[1] != params.d_in:
+            raise DimensionError(f"expected input of shape [B, {params.d_in}], got {h.shape}")
+        inputs.append(h)
+    layers = [(w.data, b.data) for w, b in params.extractor]
+    widest = max(params.hidden, default=0)
+    gated = [i for i, h in enumerate(inputs) if len(h) * widest >= OFFLOAD_MIN_SIZE]
+    on_helper = gated[1::2]  # a lone gated batch stays here: handing it off would only add a wait
+    acts = [[h] for h in inputs]
+
+    def buffers(i: int) -> list[np.ndarray]:
+        # Batch i's outputs, allocated here just before its arithmetic
+        # starts: allocating every batch's at once raised train_wide's peak
+        # RSS by about 1.4 MB.
+        acts[i] += [np.empty((len(inputs[i]), w.shape[1])) for w, _ in layers]
+        return acts[i][1:]
+
+    waits = [ad.offload(_layers_forward, buffers(i), inputs[i], layers) for i in on_helper]
+    for i, h in enumerate(inputs):
+        if i not in on_helper:
+            _layers_forward(buffers(i), h, layers)
+    for wait in waits:
+        wait()
+    return acts
+
+
+def feature_extract(params: ModelParams, x, activations: list[np.ndarray] | None = None) -> Tensor:
     """The extractor MLP on the array x as one autodiff node.
 
-    Its forward and backward repeat the generic ops' chain of matmul,
-    bias add and relu, layer by layer. x is data, not a graph node: the
-    node's parents are the parameter tensors only, and the backward
-    stops at the first layer's weights.
+    activations, when given, are extractor_activations' entry for x, and
+    the node records them instead of computing them again; two nodes may
+    share them, and each keeps its own backward. The node's forward and
+    backward repeat the generic ops' chain of matmul, bias add and relu,
+    layer by layer. x is data, not a graph node: the node's parents are
+    the parameter tensors only, and the backward stops at the first
+    layer's weights.
 
     Every layer after the first makes two independent matmuls in the
     backward: its weight gradient a.T @ g, for the layer input a, and the
@@ -116,21 +183,14 @@ def feature_extract(params: ModelParams, x) -> Tensor:
     gradient and the ReLU mask. Each matmul still runs whole, on the same
     operands, and the bias and weight gradients are accumulated in the
     same order, so gradients and trained parameters are bit-identical to
-    the sequential backward's. The forward, and with it all graph
-    recording, stays on the calling thread.
+    the sequential backward's. Graph recording stays on the calling
+    thread.
     """
-    h = np.asarray(x, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != params.d_in:
-        raise DimensionError(f"expected input of shape [B, {params.d_in}], got {h.shape}")
+    if activations is None:
+        activations, = extractor_activations(params, [x])
+    *inputs, h = activations  # the input of each layer; after the first, a relu output
     layers = list(params.extractor)
     last = len(layers) - 1
-    inputs = []  # the input of each layer; after the first, a relu output
-    for i, (w, b) in enumerate(layers):
-        inputs.append(h)
-        h = h @ w.data
-        h += b.data
-        if i < last:
-            np.maximum(h, 0.0, out=h)
 
     def backward(g):
         for i in range(last, -1, -1):

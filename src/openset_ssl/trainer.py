@@ -12,8 +12,9 @@ parameter init, then per-step batch indices and augmentation noise.
 Runs with equal configs and seeds are bit-identical.
 
 train() opens autodiff's helper thread around its epoch loop, so the
-wide extractor backward uses a second core (model.feature_extract), and
-joins it before it returns or raises.
+wide extractor forward and backward use a second core
+(model.extractor_activations and model.feature_extract), and joins it
+before it returns or raises.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def train(dataset: Dataset, config: TrainConfig, initial_pseudo_inliers: np.ndar
 
     records: list[MetricsRecord] = []
     k_sizes: list[int] = []
-    with ad.helper_thread():  # the extractor backward's second thread, for this call only
+    with ad.helper_thread():  # the extractor's second thread, for this call only
         for epoch in range(1, config.e_max + 1):
             sums = np.zeros(5)  # l_cls, l_ova, l_em, l_oc, l_fm
             consume_pseudo = epoch > config.e_fix

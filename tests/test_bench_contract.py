@@ -100,10 +100,12 @@ def test_loss_step_goes_through_the_losses_names(monkeypatch, epoch, tau):
 
 @pytest.mark.parametrize("epoch,passes", [(1, 5), (11, 7)], ids=["warmup", "selftrain"])
 def test_extractor_passes_per_step(monkeypatch, epoch, passes):
-    """At the default config, a step forwards the labeled batch once per
-    head, the unlabeled batch for L_em and once per L_oc view, and in
-    self-training the pseudo-inlier batch once per view. The benchmark
-    counts these through losses.feature_extract."""
+    """At the default config, a step records an extractor graph node for
+    the labeled batch once per head, for the unlabeled batch for L_em and
+    once per L_oc view, and in self-training for the pseudo-inlier batch
+    once per view. The benchmark counts these nodes through
+    losses.feature_extract; the two labeled-batch nodes share one
+    computation of the activations."""
     counts, _ = counted_step(monkeypatch, TrainConfig(), epoch, ("feature_extract",))
     assert counts["feature_extract"] == passes
 

@@ -136,6 +136,20 @@ class TestGenerator:
                                                   "test_per_outlier and d_in ask for clusters too large"):
             gen_synthetic(replace(SMALL, **{key: count}), seed=0)
 
+    def test_peaks_no_higher_than_the_dataset_plus_its_largest_cluster(self):
+        """On csv_eval's 140,000-row test split, each cluster's draw goes
+        straight into the split arrays: beyond the dataset, gen_synthetic
+        holds one cluster at a time, numpy's ufunc buffer (the center's
+        broadcast add) and a few small objects."""
+        cfg = GenConfig(test_per_class=20000, test_per_outlier=20000)
+        gen_synthetic(cfg, 1)  # numpy's first-use allocations stay out of the trace
+        made = []
+        peak = traced_peak_bytes(lambda: made.append(gen_synthetic(cfg, 0)))
+        ds, = made
+        dataset = sum(a.nbytes for split in (ds.labeled, ds.unlabeled, ds.test) for a in (split.x, split.y, split.tag))
+        largest = max(cfg.train_per_class + cfg.test_per_class, cfg.unlabeled_per_outlier + cfg.test_per_outlier)
+        assert peak <= dataset + largest * cfg.d_in * 8 + np.getbufsize() * 8 + (16 << 10)
+
     def test_more_labels_than_samples_rejected(self):
         from dataclasses import replace
 

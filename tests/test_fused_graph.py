@@ -6,9 +6,9 @@ numpy arithmetic. This module builds the objective from the generic ops
 of reference_ops as the reference and requires the fused
 objective to give the same loss and bit-identical gradients, including
 where the LOG_EPS clamp zeroes a gradient, and pins the parameters of
-short training runs. At the wide shapes the extractor backward computes
-weight gradients on autodiff's helper thread; the same references and
-pins hold there.
+short training runs. At the wide shapes the extractor computes every
+second batch's forward and the weight gradients of its backward on
+autodiff's helper thread; the same references and pins hold there.
 """
 
 import hashlib
@@ -21,7 +21,7 @@ import reference_ops as ref
 from openset_ssl import autodiff as ad
 from openset_ssl import model
 from openset_ssl.autodiff import Tensor
-from openset_ssl.data import GenConfig, augment, gen_synthetic
+from openset_ssl.data import GenConfig, augment, gen_synthetic, sample_batches
 from openset_ssl.losses import loss_all
 from openset_ssl.model import classify_closed, feature_extract, init_params
 from openset_ssl.trainer import TrainConfig, train
@@ -138,6 +138,20 @@ def record_offloads(monkeypatch):
     return threads
 
 
+def record_forwards(monkeypatch):
+    """(thread, rows times the widest hidden layer) of each batch whose
+    extractor activations are computed from now on in this test."""
+    forwards = []
+    real_forward = model._layers_forward
+
+    def recording_forward(outs, h, layers):
+        forwards.append((threading.current_thread(), len(h) * max(w.shape[1] for w, _ in layers)))
+        real_forward(outs, h, layers)
+
+    monkeypatch.setattr(model, "_layers_forward", recording_forward)
+    return forwards
+
+
 def on_the_helper(threads):
     """True when there were jobs and none ran on the main thread."""
     return bool(threads) and threading.main_thread() not in threads
@@ -242,6 +256,40 @@ def test_backward_releases_every_interior_node(epoch):
     assert all(t.grad is not None for t in params.parameters())
 
 
+@pytest.mark.parametrize("epoch,distinct", [(1, 4), (11, 6)], ids=["warmup", "selftrain"])
+def test_default_step_computes_each_distinct_batch_once_on_this_thread(monkeypatch, epoch, distinct):
+    """x, u and the two L_oc views, and in self-training the weak and
+    strong views: the labeled batch's two extractor nodes share one
+    computation. No batch of the default config reaches the gate."""
+    ds = gen_synthetic(GenConfig(), 0)
+    cfg = TrainConfig()
+    rng = np.random.default_rng(0)
+    params = init_params(ds.d_in, cfg.hidden, ds.k_classes, rng)
+    xb, yb, ub, ib = sample_batches(ds.train_view(), cfg.b, cfg.mu, np.arange(100), rng)
+    forwards = record_forwards(monkeypatch)
+    with ad.helper_thread():
+        loss_all(params, xb, yb, ub, ib, cfg, rng, epoch)
+    assert len(forwards) == distinct
+    assert all(thread is threading.main_thread() and size < model.OFFLOAD_MIN_SIZE for thread, size in forwards)
+
+
+def test_only_batches_at_the_gate_go_to_the_helper(monkeypatch):
+    """With the gate between the 256-row batches and the 512-row ones,
+    the helper computes every second 512-row batch and nothing else, and
+    the gradients are still the generic ops'."""
+    params, x, y, u, i_batch = setup(WIDE, b=256)
+    cfg = config(params, i_batch)
+    gate = 2 * len(x) * WIDE[1]
+    monkeypatch.setattr(model, "OFFLOAD_MIN_SIZE", gate)
+    forwards = record_forwards(monkeypatch)
+    with ad.helper_thread():
+        assert_same_as_reference(params, x, y, u, i_batch, cfg, 2)
+    helper = [size for thread, size in forwards if thread is not threading.main_thread()]
+    here = [size for thread, size in forwards if thread is threading.main_thread()]
+    # x, u, v1, v2, weak, strong: u, v1 and v2 reach the gate, and v1 goes to the helper
+    assert helper == [gate] and sorted(here) == [gate // 2] * 3 + [gate] * 2
+
+
 def test_short_run_parameters_pinned():
     history = train(gen_synthetic(GenConfig(), 0), TrainConfig(e_fix=1, e_max=2, i_max=20))
     assert params_sha256(history.final_params) == SHORT_RUN_SHA256
@@ -250,14 +298,18 @@ def test_short_run_parameters_pinned():
 def test_short_run_parameters_pinned_with_every_layer_on_the_helper(monkeypatch):
     monkeypatch.setattr(model, "OFFLOAD_MIN_SIZE", 1)
     threads = record_offloads(monkeypatch)
+    forwards = record_forwards(monkeypatch)
     history = train(gen_synthetic(GenConfig(), 0), TrainConfig(e_fix=1, e_max=2, i_max=20))
     assert params_sha256(history.final_params) == SHORT_RUN_SHA256
     assert on_the_helper(threads)
+    assert any(thread is not threading.main_thread() for thread, _ in forwards)
 
 
 def test_wide_run_parameters_pinned(monkeypatch):
     threads = record_offloads(monkeypatch)
+    forwards = record_forwards(monkeypatch)
     history = train(gen_synthetic(GenConfig(d_in=32), 0),
                     TrainConfig(b=256, hidden=WIDE, e_fix=1, e_max=2, i_max=5))
     assert params_sha256(history.final_params) == WIDE_RUN_SHA256
     assert on_the_helper(threads)
+    assert any(thread is not threading.main_thread() for thread, _ in forwards)

@@ -1,15 +1,18 @@
-"""The helper thread of the wide extractor backward.
+"""The helper thread of the wide extractor forward and backward.
 
-Inside train(), model.feature_extract's backward hands each wide hidden
-layer's weight gradient to autodiff.offload, which runs it on one helper
-thread. These tests check what that thread must not change: an error on
-it reaches the caller and leaves no thread behind, the gradients after
-such an error are still the sequential backward's, and a step holds at
-most one weight-gradient buffer and one layer activation more than the
-sequential step.
+Inside train(), model.extractor_activations hands every second wide
+batch's forward arithmetic to autodiff.offload, and
+model.feature_extract's backward each wide hidden layer's weight
+gradient; the offloaded jobs run on one helper thread. These tests check
+what that thread must not change: an error on it reaches the caller and
+leaves no thread behind, the gradients after such an error are still the
+sequential step's, a batch of the wrong width is refused before any job
+is queued, and a step holds at most one weight-gradient buffer and one
+layer activation more than the sequential step.
 """
 
 import signal
+import sys
 import threading
 import tracemalloc
 from contextlib import contextmanager
@@ -20,6 +23,7 @@ import pytest
 from openset_ssl import autodiff as ad
 from openset_ssl import model
 from openset_ssl.data import GenConfig, gen_synthetic
+from openset_ssl.errors import DimensionError
 from openset_ssl.losses import loss_all
 from openset_ssl.model import init_params
 from openset_ssl.trainer import TrainConfig, train
@@ -96,13 +100,76 @@ def test_helper_error_is_raised_on_the_main_thread(monkeypatch):
     assert len(runs_on) == 7 and threading.main_thread() not in runs_on
     assert threading.active_count() == threads_before
     monkeypatch.undo()
+    assert_later_step_is_sequential(monkeypatch)
 
+
+def test_forward_error_on_the_helper_is_raised_on_the_main_thread(monkeypatch):
+    """Likewise for a batch's forward arithmetic: a MemoryError in the
+    helper's third forward ends train() on this thread, in time, and
+    leaves no thread behind."""
+    threads_before = threading.active_count()
+    runs_on = []
+    real_forward = model._layers_forward
+
+    def failing_forward(outs, h, layers):
+        if threading.current_thread() is not threading.main_thread():
+            runs_on.append(threading.current_thread())
+            if len(runs_on) == 3:
+                raise MemoryError("forward 3 ran out of memory")
+        real_forward(outs, h, layers)
+
+    monkeypatch.setattr(model, "_layers_forward", failing_forward)
+    with time_limit(60), pytest.raises(MemoryError, match="forward 3 ran out of memory"):
+        train(gen_synthetic(GenConfig(d_in=D_IN), 0), TrainConfig(b=B, hidden=HIDDEN, e_fix=1, e_max=2, i_max=5))
+    # the step's other helper batch was queued with the third and ran before the join
+    assert len(runs_on) == 4
+    assert threading.active_count() == threads_before
+    monkeypatch.undo()
+    assert_later_step_is_sequential(monkeypatch)
+
+
+def assert_later_step_is_sequential(monkeypatch):
+    """A wide step with the helper gives the sequential step's gradients."""
     _, step = wide_step()
     with ad.helper_thread():
         threaded = step(2)
     monkeypatch.setattr(model, "OFFLOAD_MIN_SIZE", SEQUENTIAL)
     sequential = step(2)
     assert all(np.array_equal(got, want) for got, want in zip(threaded, sequential))
+
+
+def test_steps_under_fast_thread_switching_equal_the_sequential_step(monkeypatch):
+    """With the interpreter switching threads every microsecond, the
+    helper's forward and backward jobs interleave with this thread at
+    every point they can; the gradients are the sequential step's each
+    time."""
+    _, step = wide_step()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with time_limit(60), ad.helper_thread():
+            threaded = [step(epoch) for epoch in (1, 2, 2)]
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(model, "OFFLOAD_MIN_SIZE", SEQUENTIAL)
+    for epoch, grads in zip((1, 2, 2), threaded):
+        assert all(np.array_equal(got, want) for got, want in zip(grads, step(epoch)))
+
+
+def test_wrong_width_batch_raises_before_any_job_is_queued(monkeypatch):
+    """The pseudo-inlier batch comes last in a self-training step's
+    forward plan; its wrong width is found before the gated batches
+    ahead of it are computed or handed to the helper."""
+    params, _ = wide_step()
+    rng = np.random.default_rng(1)
+    x, y, u = rng.normal(size=(B, D_IN)), np.arange(B) % K, rng.normal(size=(MU * B, D_IN))
+    jobs, forwards = [], []
+    monkeypatch.setattr(ad, "offload", lambda fn, *args: jobs.append(fn))
+    monkeypatch.setattr(model, "_layers_forward", lambda *args: forwards.append(args))
+    cfg = TrainConfig(b=B, mu=MU, hidden=HIDDEN, e_fix=1)
+    with ad.helper_thread(), pytest.raises(DimensionError, match=rf"expected input of shape \[B, {D_IN}\]"):
+        loss_all(params, x, y, u, rng.normal(size=(MU * B, D_IN + 1)), cfg, rng, 2)
+    assert jobs == [] and forwards == []
 
 
 @pytest.mark.parametrize("epoch", [1, 2], ids=["warmup", "selftrain"])
