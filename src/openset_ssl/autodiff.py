@@ -6,9 +6,12 @@ to its parents with accumulate(), so the recorded graph doubles as the
 tape. Calling backward() on a scalar tensor topologically sorts that
 graph and accumulates gradients into every reachable leaf with
 requires_grad set. It consumes the graph as it goes: each node drops its
-gradient and closure once its backward has run, so the activations a
-closure saved are freed as soon as the pass is done with them, and a
-consumed graph cannot be backpropagated twice.
+gradient and closure once its backward has run, so what a closure saved
+is let go as soon as the pass is done with it, and a consumed graph
+cannot be backpropagated twice. The extractor activations of a training
+step are the exception: they live in trainer.train's workspace
+(model.Workspace), which writes them again only once the graph that
+reads them is consumed.
 
 The model and the losses record fused nodes: the whole extractor MLP is
 one node, each head (matmul, bias, optional reshape, softmax) is one

@@ -13,6 +13,9 @@ spells out every value, defaults included, and can be fed back to
 
 Exit codes: 0 on success, 2 for configuration or validation problems
 (a non-finite config number too), 3 for numeric failures in training.
+
+Each command runs with one OpenBLAS thread, unless OPENBLAS_NUM_THREADS
+or OMP_NUM_THREADS chose a count.
 """
 
 from __future__ import annotations
@@ -22,9 +25,12 @@ import ctypes
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
+
+import numpy as np
 
 from .data import TAG_INLIER, TAG_SEEN_OUTLIER, Dataset, GenConfig, gen_synthetic, load_csv, save_csv
 from .errors import ConfigError, MetricError, NumericError, OpenSetSSLError, ParseError
@@ -319,6 +325,42 @@ except (AttributeError, OSError, TypeError):
     _malloc_trim = None
 
 
+def _openblas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded,
+    or None when numpy did not load a wheel's OpenBLAS."""
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        handle = ctypes.CDLL(str(lib))  # the library numpy already loaded, not a second copy
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """One OpenBLAS thread inside the block, unless OPENBLAS_NUM_THREADS or
+    OMP_NUM_THREADS chose a count. The matrices are small, and the wide
+    extractor already uses the second core through autodiff's helper
+    thread: on two cores, OpenBLAS's default of two threads took about
+    twice the CPU time of one for a default train, and a third more for a
+    wide one, for no less wall time and the same bits."""
+    calls = _openblas_thread_calls()
+    if calls is None or {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -326,7 +368,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
     try:
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except NumericError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

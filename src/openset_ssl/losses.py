@@ -34,7 +34,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import augment
 from .errors import ConfigError
-from .model import ModelParams, classify_closed, extractor_activations, feature_extract, ova_probs
+from .model import ModelParams, Workspace, classify_closed, extractor_activations, feature_extract, ova_probs
 
 
 @dataclass
@@ -162,6 +162,8 @@ def loss_all(
     config,
     rng: np.random.Generator,
     epoch: int,
+    *,
+    workspace: Workspace | None = None,
 ) -> tuple[Tensor, LossBreakdown]:
     """Full objective for one step: supervised terms plus weighted
     unlabeled terms, summed in one node as
@@ -169,7 +171,13 @@ def loss_all(
     whose weight is zero is left out. The pseudo-label term only exists
     after the self-training warmup (epoch > e_fix); before that the total
     is independent of i_batch.
+
+    The activations go into the workspace's buffers (a new workspace's
+    when none is given), which the returned graph reads until its
+    backward() has run; the weak view's slot is given back as soon as its
+    no-grad head has read it.
     """
+    workspace = Workspace() if workspace is None else workspace
     views = {"x": x}  # every distinct batch the step forwards, drawn in one fixed RNG order
     if config.lam_em > 0.0:
         views["u"] = u
@@ -179,7 +187,7 @@ def loss_all(
     if epoch > config.e_fix and config.lam_fm > 0.0:
         views["weak"] = augment(i_batch, config.weak_noise_sigma, 0.0, rng)
         views["strong"] = augment(i_batch, config.strong_noise_sigma, config.strong_mask_prob, rng)
-    acts = dict(zip(views, extractor_activations(params, list(views.values()))))
+    acts = dict(zip(views, extractor_activations(params, list(views.values()), workspace)))
 
     def forward(head, name) -> Tensor:
         return head(params, feature_extract(params, views[name], acts[name]))
@@ -196,6 +204,10 @@ def loss_all(
     if "weak" in views:
         with ad.no_grad():
             q = forward(classify_closed, "weak").data
+        # Its buffers were allocated just before the strong view's, so the
+        # hole they leave when this call returns lies below the heap top,
+        # where the backward's arrays reuse it.
+        workspace.release(list(views).index("weak"))
         fm, mask_count = loss_fixmatch(q, forward(classify_closed, "strong"), config.tau)
         terms["l_fm"] = (fm, float(config.lam_fm))
     weighted = list(terms.values())
@@ -208,5 +220,8 @@ def loss_all(
             ad.accumulate(term, g * w)
 
     total = ad.make_node(value, [term for term, _ in weighted], backward)
+    # The extractor nodes in the graph: each term's heads' first parent. A
+    # term that came out 0 has no parents, and its nodes are garbage.
+    workspace.read_by(head._parents[0] for term, _ in weighted for head in term._parents)
     values = {"l_em": 0.0, "l_oc": 0.0, "l_fm": 0.0} | {name: term.item() for name, (term, _) in terms.items()}
     return total, LossBreakdown(**values, l_all=total.item(), fm_mask_count=mask_count)

@@ -12,7 +12,10 @@ evaluation.predict_open.
 The extractor's forward arithmetic (extractor_activations) is apart from
 its graph node (feature_extract), so a training step computes each
 distinct batch once, the wide ones on two cores, before it records any
-node.
+node. In train() the activations go into a Workspace: one set of
+buffers per batch slot, written again every step once the previous
+step's graph is consumed, and emptied before selection and evaluation.
+Other callers get fresh arrays.
 
 _layout is the one table of the parameters' names and shapes, in
 parameters() order: init_params draws from it, and checkpoints name and
@@ -28,7 +31,7 @@ import tokenize
 import zipfile
 import zlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -121,10 +124,56 @@ def _layers_forward(outs: list[np.ndarray], h: np.ndarray, layers) -> None:
         h = out
 
 
-def extractor_activations(params: ModelParams, batches: Sequence) -> list[list[np.ndarray]]:
+class Workspace:
+    """Extractor activation buffers that a training loop reuses from step
+    to step: one set per batch slot (a batch's position in
+    extractor_activations' batches), kept while the slot's shapes stay
+    the same.
+
+    A buffer is written again only once every graph node recorded over it
+    has been consumed by backward(): read_by() records those nodes, and
+    buffers() raises RuntimeError while one of them is live, so
+    extractor_activations raises before it writes anything. release()
+    lets one slot's buffers go, clear() all of them. Reused buffers keep
+    their pages: freeing and allocating them every step cost 10-15% of a
+    wide step, as glibc trims the heap top and the next step faults it
+    back in.
+    """
+
+    def __init__(self):
+        self._slots: dict[int, list[np.ndarray]] = {}
+        self._readers: list[Tensor] = []  # graph nodes recorded over the buffers
+
+    def read_by(self, nodes: Iterable[Tensor]) -> None:
+        """Record the graph nodes that read the buffers until backward() consumes them."""
+        self._readers = list(nodes)
+
+    def buffers(self, slot: int, shapes: list[tuple[int, int]]) -> list[np.ndarray]:
+        """The slot's buffers of the given shapes, allocated when it has none of them."""
+        if any(node._backward is not None for node in self._readers):
+            raise RuntimeError("workspace buffers written again before backward() consumed the graph that reads them")
+        self._readers = []
+        bufs = self._slots.get(slot)
+        if bufs is None or [b.shape for b in bufs] != shapes:
+            self._slots.pop(slot, None)  # the old set goes before the new one is allocated
+            bufs = self._slots[slot] = [np.empty(shape) for shape in shapes]
+        return bufs
+
+    def release(self, slot: int) -> None:
+        self._slots.pop(slot, None)
+
+    def clear(self) -> None:
+        self._slots.clear()
+
+
+def extractor_activations(params: ModelParams, batches: Sequence,
+                          workspace: Workspace | None = None) -> list[list[np.ndarray]]:
     """Each batch's extractor activations: the input of every layer, then
     the output (for a model without hidden layers, the input alone). This
     is the arithmetic of the forward only; feature_extract records it.
+
+    The outputs are written into the workspace's buffers for each batch's
+    slot, those of a new workspace when none is given.
 
     A batch is gated when its rows times the widest hidden layer reach
     OFFLOAD_MIN_SIZE. Every second gated batch goes to autodiff.offload,
@@ -141,6 +190,7 @@ def extractor_activations(params: ModelParams, batches: Sequence) -> list[list[n
         if h.ndim != 2 or h.shape[1] != params.d_in:
             raise DimensionError(f"expected input of shape [B, {params.d_in}], got {h.shape}")
         inputs.append(h)
+    workspace = Workspace() if workspace is None else workspace
     layers = [(w.data, b.data) for w, b in params.extractor]
     widest = max(params.hidden, default=0)
     gated = [i for i, h in enumerate(inputs) if len(h) * widest >= OFFLOAD_MIN_SIZE]
@@ -151,7 +201,7 @@ def extractor_activations(params: ModelParams, batches: Sequence) -> list[list[n
         # Batch i's outputs, allocated here just before its arithmetic
         # starts: allocating every batch's at once raised train_wide's peak
         # RSS by about 1.4 MB.
-        acts[i] += [np.empty((len(inputs[i]), w.shape[1])) for w, _ in layers]
+        acts[i] += workspace.buffers(i, [(len(inputs[i]), w.shape[1]) for w, _ in layers])
         return acts[i][1:]
 
     waits = [ad.offload(_layers_forward, buffers(i), inputs[i], layers) for i in on_helper]

@@ -15,6 +15,13 @@ train() opens autodiff's helper thread around its epoch loop, so the
 wide extractor forward and backward use a second core
 (model.extractor_activations and model.feature_extract), and joins it
 before it returns or raises.
+
+train() also owns the steps' model.Workspace: each batch slot's
+extractor activations are written into the same buffers every step.
+A step drops its spent graph right after backward(), so the next step's
+forward runs without it; loss_all gives the weak view's slot back once
+its no-grad head has read it; and the workspace is emptied before each
+epoch's selection and evaluation.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .data import Dataset, sample_batches
 from .errors import ConfigError, NumericError, check_at_least
 from .evaluation import OUTLIER, MetricsRecord, evaluate_params, predict_open
 from .losses import loss_all
-from .model import ModelParams, init_params
+from .model import ModelParams, Workspace, init_params
 
 
 @dataclass
@@ -126,6 +133,7 @@ def train(dataset: Dataset, config: TrainConfig, initial_pseudo_inliers: np.ndar
 
     records: list[MetricsRecord] = []
     k_sizes: list[int] = []
+    workspace = Workspace()  # the steps' activation buffers
     with ad.helper_thread():  # the extractor's second thread, for this call only
         for epoch in range(1, config.e_max + 1):
             sums = np.zeros(5)  # l_cls, l_ova, l_em, l_oc, l_fm
@@ -134,15 +142,17 @@ def train(dataset: Dataset, config: TrainConfig, initial_pseudo_inliers: np.ndar
                 xb, yb, ub, ib = sample_batches(
                     view, config.b, config.mu, pseudo if consume_pseudo else _EMPTY_INDEX, rng
                 )
-                total, bd = loss_all(params, xb, yb, ub, ib, config, rng, epoch)
+                total, bd = loss_all(params, xb, yb, ub, ib, config, rng, epoch, workspace=workspace)
                 if not np.isfinite(bd.l_all):
                     raise NumericError(f"non-finite loss at epoch {epoch}, iteration {it}")
                 total.backward()
+                del total  # the spent graph, so the next step's forward runs without it
                 try:
                     sgd_step(params.flat, gather_grads(tensors, grad), velocity, config.lr, config.momentum)
                 except NumericError as e:
                     raise NumericError(f"{e} (epoch {epoch}, iteration {it})") from e
                 sums += (bd.l_cls, bd.l_ova, bd.l_em, bd.l_oc, bd.l_fm)
+            workspace.clear()  # selection and evaluation allocate blocks of their own
 
             if epoch >= config.e_fix:
                 pseudo = select_pseudo_inliers(params, view.unlabeled_x)

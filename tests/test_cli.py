@@ -250,6 +250,47 @@ class TestHeapRelease:
         assert cli._malloc_trim is not None
 
 
+# Run in a fresh interpreter: the OpenBLAS thread count that `train` sees
+# inside main, and the one the process has once main returns.
+BLAS_PROBE = """
+import sys
+from openset_ssl import cli
+get = cli._openblas_thread_calls()[0]
+seen = []
+real_train = cli.train
+cli.train = lambda *args: seen.append(get()) or real_train(*args)
+before = get()
+assert cli.main(sys.argv[1:]) == 0
+print(before, seen[0], get())
+"""
+
+
+@pytest.mark.skipif(cli._openblas_thread_calls() is None, reason="numpy did not load a wheel's OpenBLAS")
+class TestBlasThreads:
+    def probe(self, tmp_path, **env_vars):
+        spec = write_spec(tmp_path, out_dir=tmp_path / "run")
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env.update(env_vars, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", BLAS_PROBE, "train", "--config", str(spec)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return [int(n) for n in proc.stdout.split()[-3:]]
+
+    def test_train_runs_one_blas_thread_and_gives_the_count_back(self, tmp_path):
+        before, during, after = self.probe(tmp_path)
+        assert during == 1 and after == before
+
+    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_an_explicit_thread_count_is_left_alone(self, tmp_path, var):
+        assert self.probe(tmp_path, **{var: "2"}) == [2, 2, 2]
+
+    def test_nothing_happens_without_the_library_calls(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_openblas_thread_calls", lambda: None)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        assert main(["train", "--config", str(write_spec(tmp_path, out_dir=tmp_path / "run"))]) == 0
+
+
 class TestTrainCmd:
     def test_artifacts_and_summary(self, tmp_path, capsys):
         spec = write_spec(tmp_path, out_dir=tmp_path / "run")

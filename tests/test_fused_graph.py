@@ -19,7 +19,7 @@ import pytest
 
 import reference_ops as ref
 from openset_ssl import autodiff as ad
-from openset_ssl import model
+from openset_ssl import cli, model
 from openset_ssl.autodiff import Tensor
 from openset_ssl.data import GenConfig, augment, gen_synthetic, sample_batches
 from openset_ssl.losses import loss_all
@@ -313,3 +313,20 @@ def test_wide_run_parameters_pinned(monkeypatch):
     assert params_sha256(history.final_params) == WIDE_RUN_SHA256
     assert on_the_helper(threads)
     assert any(thread is not threading.main_thread() for thread, _ in forwards)
+
+
+@pytest.mark.skipif(cli._openblas_thread_calls() is None, reason="numpy did not load a wheel's OpenBLAS")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_wide_run_parameters_pinned_at_each_blas_thread_count(threads):
+    """The command line runs one OpenBLAS thread, a library user whatever
+    OpenBLAS chose: both train the same parameters."""
+    get, set_threads = cli._openblas_thread_calls()
+    before = get()
+    set_threads(threads)
+    try:
+        assert get() == threads
+        history = train(gen_synthetic(GenConfig(d_in=32), 0),
+                        TrainConfig(b=256, hidden=WIDE, e_fix=1, e_max=2, i_max=5))
+    finally:
+        set_threads(before)
+    assert params_sha256(history.final_params) == WIDE_RUN_SHA256
