@@ -25,26 +25,23 @@ and trained parameters are therefore bit-identical to the generic-op
 graph's; the tests keep that graph (tests/reference_ops.py) as the
 reference.
 
-Inside helper_thread(), one helper thread runs the jobs that offload()
-hands it, one at a time, so a caller can run arithmetic there while it
-runs independent arithmetic itself: the extractor forward computes
-every second wide batch there (model.extractor_activations), and its
-backward one weight gradient per wide layer (model.feature_extract).
-The thread lives only as long as the block: trainer.train opens it
-around its epoch loop, so no thread of the package is alive outside
-train(), when data._two_processes forks or when the process exits.
-Outside the block offload() runs the job at once on the calling thread.
-A job is plain numpy on arrays its caller already holds: it records no
-graph node. Graph recording stays on the main thread, because it reads
-the process-global no_grad() state, which the main thread changes
-around the weak view's head. A job's exception, MemoryError included,
-is raised again on the thread that waits for the job.
+Inside helper_thread(), a one-worker ThreadPoolExecutor runs offload()'s
+jobs while the caller runs independent arithmetic: every second wide
+batch of the extractor forward (model.extractor_activations) and one
+weight gradient per wide layer of its backward (model.feature_extract).
+Its thread starts with the first job and is joined, after the queued
+jobs have run, when the block ends; trainer.train opens it around its
+epoch loop, so no thread of the package is alive outside train(), when
+data._two_processes forks or the process exits. A job is plain numpy on
+arrays its caller holds and records no graph node: recording reads the
+process-global no_grad() state, which the main thread changes around the
+weak view's head. A job's exception, MemoryError included, is raised
+again on the thread that waits for it.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Iterable
 
@@ -57,7 +54,7 @@ LOG_EPS = 1e-12
 
 _grad_enabled = True
 
-_helper_jobs: queue.SimpleQueue | None = None  # the open helper thread's job queue
+_helper: ThreadPoolExecutor | None = None  # the open helper_thread() block's executor
 
 
 @contextmanager
@@ -74,35 +71,16 @@ def no_grad():
 
 @contextmanager
 def helper_thread():
-    """Run offload()'s jobs on one helper thread inside the block; the
-    thread is joined when the block ends, on an error too."""
-    global _helper_jobs
-    prev = _helper_jobs
-    jobs = queue.SimpleQueue()
-    thread = threading.Thread(target=_serve, args=(jobs,), name="openset_ssl.helper")
-    thread.start()
-    _helper_jobs = jobs
-    try:
-        yield
-    finally:
-        _helper_jobs = prev
-        jobs.put(None)  # the jobs already queued run first
-        thread.join()
-
-
-def _serve(jobs: queue.SimpleQueue) -> None:
-    while (job := jobs.get()) is not None:
-        fn, args, done = job
+    """Run offload()'s jobs on one helper thread inside the block; at its
+    end, on an error too, the queued jobs run and the thread is joined."""
+    global _helper
+    prev = _helper
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="openset_ssl.helper") as executor:
+        _helper = executor
         try:
-            fn(*args)
-            error = None
-        except BaseException as e:  # raised again by the waiting thread
-            error = e
-        # Let go of the job's arrays before the waiting thread wakes: they
-        # are then freed on that thread's schedule, and the heap's layout
-        # does not depend on how the two threads interleave.
-        del job, fn, args
-        done.put(error)
+            yield
+        finally:
+            _helper = prev
 
 
 def offload(fn, *args) -> Callable[[], None]:
@@ -110,19 +88,15 @@ def offload(fn, *args) -> Callable[[], None]:
     helper_thread() block is open. fn works by side effect: it writes
     into an array that the caller allocated and holds. Returns a function
     that waits for fn to finish and raises its exception, if any. fn must
-    not record graph nodes."""
-    if _helper_jobs is None:
+    not record graph nodes. The helper lets go of fn and args only after
+    the waiter wakes, yet frees no array at train_wide's depth: the
+    caller holds a forward job's buffers and views until it has waited,
+    and a backward job's g at the last hidden layer is node.grad, which
+    Tensor.backward holds until the closure returns."""
+    if _helper is None:
         fn(*args)
         return lambda: None
-    done = queue.SimpleQueue()  # this job's own result slot
-    _helper_jobs.put((fn, args, done))
-
-    def wait() -> None:
-        error = done.get()
-        if error is not None:
-            raise error
-
-    return wait
+    return _helper.submit(fn, *args).result
 
 
 class Tensor:

@@ -115,10 +115,12 @@ def _parsed_fields(cls, kv: dict[str, str], prefix: str = "") -> dict:
 
 def _gen_settings(kv: dict[str, str], seed_override: int | None = None) -> tuple[GenConfig, int]:
     """The validated GenConfig of kv's gen_ keys, and the generator seed:
-    seed_override, else the gen_seed key, else 0."""
+    seed_override, else the gen_seed key, else 0. The key is parsed even
+    when overridden, as train parses seed."""
     cfg = replace(GenConfig(), **_parsed_fields(GenConfig, kv, prefix="gen_"))
     cfg.validate()
-    seed = seed_override if seed_override is not None else _parse_int("gen_seed", kv.get("gen_seed", "0"))
+    seed = _parse_int("gen_seed", kv.get("gen_seed", "0"))
+    seed = seed if seed_override is None else seed_override
     if seed < 0:
         raise ConfigError(f"gen_seed must be >= 0, got {seed}")
     return cfg, seed

@@ -11,10 +11,12 @@ Everything is driven by one seeded generator in a fixed draw order:
 parameter init, then per-step batch indices and augmentation noise.
 Runs with equal configs and seeds are bit-identical.
 
-train() opens autodiff's helper thread around its epoch loop, so the
+train() opens autodiff.helper_thread() around its epoch loop, so the
 wide extractor forward and backward use a second core
-(model.extractor_activations and model.feature_extract), and joins it
-before it returns or raises.
+(model.extractor_activations and model.feature_extract). Its thread
+starts with the first offloaded job, so a default-shape run starts none,
+and it is joined, after the queued jobs have run, before train() returns
+or raises.
 
 train() also owns the steps' model.Workspace: each batch slot's
 extractor activations are written into the same buffers every step.

@@ -923,6 +923,21 @@ def test_negative_seed_exits_2_naming_key(tmp_path, capsys, case, key):
     assert f"error: {key} must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,key", [("gen-data", "gen_seed"), ("train", "seed")])
+def test_bad_seed_key_exits_2_under_a_seed_override(tmp_path, capsys, command, key):
+    """--seed replaces the spec's seed key, but the key is still parsed:
+    a non-integer one exits 2 naming it, and nothing is written."""
+    out = tmp_path / "out"
+    if command == "gen-data":
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(with_line(GEN_LINES, "gen_seed = abc"))
+    else:
+        cfg = write_spec(tmp_path, train=with_line(TRAIN_LINES, "seed = abc"), out_dir=out)
+    assert main([command, "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 2
+    assert f"key {key}: expected an integer, got 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def with_line(text, line):
     """text's key = value lines with line's key set by line."""
     key = line.split(" = ")[0]

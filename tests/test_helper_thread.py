@@ -3,12 +3,15 @@
 Inside train(), model.extractor_activations hands every second wide
 batch's forward arithmetic to autodiff.offload, and
 model.feature_extract's backward each wide hidden layer's weight
-gradient; the offloaded jobs run on one helper thread. These tests check
+gradient; the offloaded jobs run on the one worker thread of a
+ThreadPoolExecutor, which starts with the first job. These tests check
 what that thread must not change: an error on it reaches the caller and
-leaves no thread behind, the gradients after such an error are still the
-sequential step's, a batch of the wrong width is refused before any job
-is queued, and a step holds at most one weight-gradient buffer and one
-layer activation more than the sequential step.
+leaves no thread behind, an error on the main thread waits for the job in
+flight, the gradients after such an error are still the sequential
+step's, a batch of the wrong width is refused before any job is queued,
+a default-shape train() starts no thread, and a step holds at most one
+weight-gradient buffer and one layer activation more than the sequential
+step.
 """
 
 import signal
@@ -126,6 +129,63 @@ def test_forward_error_on_the_helper_is_raised_on_the_main_thread(monkeypatch):
     assert threading.active_count() == threads_before
     monkeypatch.undo()
     assert_later_step_is_sequential(monkeypatch)
+
+
+def test_interrupt_on_the_main_thread_waits_for_the_job_in_flight(monkeypatch):
+    """A KeyboardInterrupt on this thread while the helper's forward is
+    still running ends train() with that interrupt, after the job has
+    finished, and leaves no thread behind; a later wide step is still the
+    sequential step."""
+    threads_before = threading.active_count()
+    interrupt, raised, events, submitted = KeyboardInterrupt(), threading.Event(), [], []
+    real_forward, real_offload = model._layers_forward, ad.offload
+
+    def offload(fn, *args):
+        submitted.append(fn)
+        return real_offload(fn, *args)
+
+    def forward(outs, h, layers):
+        if threading.current_thread() is not threading.main_thread():
+            raised.wait(10)  # so the job is in flight when this thread raises
+            real_forward(outs, h, layers)
+            events.append("job done")
+        elif submitted:
+            events.append("raise")
+            raised.set()
+            raise interrupt
+        else:
+            real_forward(outs, h, layers)
+
+    monkeypatch.setattr(ad, "offload", offload)
+    monkeypatch.setattr(model, "_layers_forward", forward)
+    with time_limit(60), pytest.raises(KeyboardInterrupt) as caught:
+        train(gen_synthetic(GenConfig(d_in=D_IN), 0), TrainConfig(b=B, hidden=HIDDEN, e_fix=1, e_max=2, i_max=5))
+    assert caught.value is interrupt
+    assert events[:2] == ["raise", "job done"]
+    assert threading.active_count() == threads_before
+    monkeypatch.undo()
+    assert_later_step_is_sequential(monkeypatch)
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["default", "wide"])
+def test_a_thread_starts_only_when_a_job_is_handed_off(monkeypatch, wide):
+    """At the default shapes no job reaches OFFLOAD_MIN_SIZE and train()
+    starts no thread; a wide train() starts the one helper thread, which
+    is gone when it returns."""
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    if wide:
+        train(gen_synthetic(GenConfig(d_in=D_IN), 0), TrainConfig(b=B, hidden=HIDDEN, e_fix=1, e_max=1, i_max=2))
+    else:
+        train(gen_synthetic(GenConfig(), 0), TrainConfig(e_fix=1, e_max=2, i_max=5))
+    assert len(started) == (1 if wide else 0)
+    assert all(t.name.startswith("openset_ssl.helper") and not t.is_alive() for t in started)
 
 
 def assert_later_step_is_sequential(monkeypatch):
